@@ -1,7 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper (one
-// benchmark per experiment, per DESIGN.md §3), the ablation sweeps of
-// DESIGN.md §5, and micro-benchmarks of the hot paths (per-day
-// simulation, per-day KPI generation, the mobility metrics).
+// benchmark per experiment), the design-choice ablations cmd/ablate
+// prints, and micro-benchmarks of the hot paths (per-day simulation,
+// per-day KPI generation, the mobility metrics). PERFORMANCE.md,
+// "Benchmarks", lists the recipes; perfbench/README.md documents the
+// end-to-end repository benchmark.
 //
 // The shared fixture simulates once; figure benchmarks then measure the
 // analysis/regeneration step, which is what varies across experiments.
@@ -211,7 +213,7 @@ func BenchmarkRATShare(b *testing.B) {
 	}
 }
 
-// --- ablation benchmarks (DESIGN.md §5) ------------------------------------
+// --- ablation benchmarks (the knobs cmd/ablate sweeps) ----------------------
 
 // BenchmarkAblationHomeNights sweeps the minimum-nights threshold of the
 // home detection rule.
@@ -388,27 +390,6 @@ func BenchmarkEngineDayAppendInstrumented(b *testing.B) {
 		cells = eng.DayAppend(cells[:0], day, benchDay)
 	}
 }
-
-// benchmarkEngineDayAppendSharded is BenchmarkEngineDayAppend on the
-// intra-day sharded path: the visit accumulation partitioned across N
-// per-shard tiles on the persistent worker pool, merged in shard-index
-// order. allocs/op should read 0 (pinned by the traffic alloc tests).
-// On a single-core runner the numbers show the sharding overhead near
-// zero; the speedup needs cores.
-func benchmarkEngineDayAppendSharded(b *testing.B, shards int) {
-	r := benchResults(b)
-	day := timegrid.SimDay(timegrid.StudyDayOffset + 30)
-	var cells []traffic.CellDay
-	cells = r.Dataset.Engine.DayAppendSharded(cells, day, benchDay, shards)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cells = r.Dataset.Engine.DayAppendSharded(cells[:0], day, benchDay, shards)
-	}
-}
-
-func BenchmarkEngineDayAppendSharded2(b *testing.B) { benchmarkEngineDayAppendSharded(b, 2) }
-func BenchmarkEngineDayAppendSharded4(b *testing.B) { benchmarkEngineDayAppendSharded(b, 4) }
 
 func BenchmarkDayMetrics(b *testing.B) {
 	r := benchResults(b)
@@ -600,7 +581,7 @@ func BenchmarkSweepSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if runs, err := experiments.RunSweep(context.Background(), w, cfg, scfg, scens); err != nil || len(runs) != len(scens) {
+		if runs, err := experiments.RunSweepParallelOpts(context.Background(), w, cfg, scfg, scens, experiments.SweepOptions{Parallel: 1}); err != nil || len(runs) != len(scens) {
 			b.Fatal("short sweep")
 		}
 	}
@@ -617,7 +598,7 @@ func benchmarkSweepParallel(b *testing.B, parallel int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if runs, err := experiments.RunSweepParallel(context.Background(), w, cfg, scfg, scens, parallel); err != nil || len(runs) != len(scens) {
+		if runs, err := experiments.RunSweepParallelOpts(context.Background(), w, cfg, scfg, scens, experiments.SweepOptions{Parallel: parallel}); err != nil || len(runs) != len(scens) {
 			b.Fatal("short sweep")
 		}
 	}

@@ -1,5 +1,6 @@
-// Command ablate runs the design-choice ablations called out in
-// DESIGN.md §5 and prints how each knob moves the headline results:
+// Command ablate runs the design-choice ablations and prints how each
+// knob moves the headline results (the scenario timelines it compares
+// are described in SCENARIOS.md):
 //
 //   - scenario: registry timelines (default-covid, no-pandemic,
 //     early-lockdown) compared on the sweep runner

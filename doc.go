@@ -5,7 +5,8 @@
 //
 // The paper is a measurement study over a UK operator's proprietary
 // control-plane and radio-KPI feeds; this module substitutes a complete
-// synthetic United Kingdom and synthetic MNO (see DESIGN.md) and
+// synthetic United Kingdom and synthetic MNO (PAPER.md has the paper's
+// abstract; SCENARIOS.md the behavioural timelines) and
 // re-implements the paper's entire analysis pipeline on top of it:
 // mobility entropy and radius of gyration, night-time home detection,
 // mobility matrices, and the per-cell KPI delta statistics behind every
@@ -19,8 +20,8 @@
 //     sharded streaming engine, bit-identical at any worker count. The
 //     stack splits into a scenario-independent World (census + radio +
 //     population, built once) and per-scenario run stacks
-//     (World.Instantiate); RunSweep streams many scenarios over one
-//     shared World and SweepTable compares their headlines.
+//     (World.Instantiate); RunSweepParallelOpts runs many scenarios
+//     over one shared World and SweepTable compares their headlines.
 //   - internal/stream: the sharded, backpressured streaming analytics
 //     engine (worker-pool day production, hash-partitioned shard
 //     stages, deterministic merge) every scaling path builds on.
@@ -50,9 +51,11 @@
 //   - examples/: runnable walk-throughs of the public pipeline.
 //
 // The benchmarks in bench_test.go regenerate every table and figure (one
-// benchmark each), include the ablations called out in DESIGN.md, and
-// track the streaming engine's speedup over the serial pipeline
-// (BenchmarkStreamWorkers1/4/8 vs BenchmarkRunStandardSerial).
+// benchmark each), include the design-choice ablations cmd/ablate
+// prints, and track the streaming engine's speedup over the serial
+// pipeline (BenchmarkStreamWorkers1/4/8 vs BenchmarkRunStandardSerial;
+// PERFORMANCE.md, "Benchmarks"). perfbench/README.md documents the
+// end-to-end repository benchmark.
 //
 // Failure semantics are documented in RELIABILITY.md: every runner is
 // context-cancellable (SIGINT/SIGTERM exits 130 with partial outputs

@@ -15,7 +15,7 @@ import (
 
 // settleGoroutines polls until the goroutine count returns to roughly
 // base, failing the test if it never does — the no-dependency leak
-// check for every Run/RunSweepParallel exit path.
+// check for every Run/RunSweepParallelOpts exit path.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -180,7 +180,7 @@ func TestSweepIsolatesPoisonedRun(t *testing.T) {
 	fi := fault.New(fault.Rule{Site: fault.SweepRun, Kind: fault.KindPanic, Key: 1})
 	scfg := stream.Config{Workers: 1, Fault: fi}
 
-	runs, err := RunSweepParallel(context.Background(), w, cfg, scfg, scens, 2)
+	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, scfg, scens, SweepOptions{Parallel: 2})
 	if err == nil {
 		t.Fatal("sweep with a poisoned run returned nil error")
 	}
@@ -208,7 +208,7 @@ func TestSweepIsolatesPoisonedRun(t *testing.T) {
 
 	// The healthy runs must be bit-identical to a clean sweep — a
 	// poisoned neighbor cannot perturb them (worker discard on failure).
-	clean := mustSweepParallel(t, w, cfg, stream.Config{Workers: 1}, scens, 2)
+	clean := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens, SweepOptions{Parallel: 2})
 	for _, i := range []int{0, 2} {
 		if runs[i].Headlines == nil {
 			continue // already reported above
@@ -228,7 +228,7 @@ func TestSweepSerialPathIsolatesPoisonedRun(t *testing.T) {
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic)
 	w := NewWorld(cfg)
 	fi := fault.New(fault.Rule{Site: fault.SweepRun, Kind: fault.KindError, Key: 0})
-	runs, err := RunSweepParallel(context.Background(), w, cfg, stream.Config{Workers: 1, Fault: fi}, scens, 1)
+	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1, Fault: fi}, scens, SweepOptions{Parallel: 1})
 	if !fault.IsInjected(err) {
 		t.Fatalf("want injected error joined out, got %v", err)
 	}
@@ -240,8 +240,9 @@ func TestSweepSerialPathIsolatesPoisonedRun(t *testing.T) {
 	}
 }
 
-// TestSweepCancelledContext cancels before the sweep starts: every slot
-// carries ctx.Err(), the joined error reports it, nothing leaks.
+// TestSweepCancelledContext cancels before the sweep starts, under both
+// per-run bodies: every slot carries ctx.Err(), the joined error reports
+// it, nothing leaks.
 func TestSweepCancelledContext(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg := sweepConfig()
@@ -249,39 +250,41 @@ func TestSweepCancelledContext(t *testing.T) {
 	w := NewWorld(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	runs, err := RunSweepParallel(ctx, w, cfg, stream.Config{Workers: 1}, scens, 2)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	for _, run := range runs {
-		if !errors.Is(run.Err, context.Canceled) {
-			t.Errorf("run %s: Err = %v, want context.Canceled", run.Name, run.Err)
+	for _, opt := range sweepModes(2) {
+		runs, err := RunSweepParallelOpts(ctx, w, cfg, stream.Config{Workers: 1}, scens, opt)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%+v: want context.Canceled, got %v", opt, err)
+		}
+		for _, run := range runs {
+			if !errors.Is(run.Err, context.Canceled) {
+				t.Errorf("%+v: run %s: Err = %v, want context.Canceled", opt, run.Name, run.Err)
+			}
 		}
 	}
 	settleGoroutines(t, base)
 }
 
 // TestSweepOnRunObservesCompletions pins the OnRun hook contract used by
-// mnosweep's journal: called once per run with the input index, only
-// completed runs have headlines, and calls are serialized (the race
-// detector guards that part).
+// mnosweep's journal, under both per-run bodies: called once per run
+// with the input index, only completed runs have headlines, and calls
+// are serialized (the race detector guards that part).
 func TestSweepOnRunObservesCompletions(t *testing.T) {
 	cfg := sweepConfig()
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic, scenario.EarlyLockdown)
 	w := NewWorld(cfg)
-	seen := make(map[int]string)
-	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1}, scens,
-		SweepOptions{Parallel: 2, OnRun: func(i int, run SweepRun) { seen[i] = run.Name }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(scens) {
-		t.Fatalf("OnRun fired %d times, want %d", len(seen), len(scens))
-	}
-	for i := range scens {
-		if seen[i] != scens[i].Name {
-			t.Errorf("OnRun(%d) = %s, want %s", i, seen[i], scens[i].Name)
+	for _, opt := range sweepModes(2) {
+		seen := make(map[int]string)
+		opt.OnRun = func(i int, run SweepRun) { seen[i] = run.Name }
+		if _, err := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1}, scens, opt); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != len(scens) {
+			t.Fatalf("share=%t: OnRun fired %d times, want %d", opt.SharePrefix, len(seen), len(scens))
+		}
+		for i := range scens {
+			if seen[i] != scens[i].Name {
+				t.Errorf("share=%t: OnRun(%d) = %s, want %s", opt.SharePrefix, i, seen[i], scens[i].Name)
+			}
 		}
 	}
-	_ = runs
 }

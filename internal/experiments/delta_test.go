@@ -16,7 +16,7 @@ func TestDeltaTableAgainstBaseline(t *testing.T) {
 	cfg := sweepConfig()
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic)
 	w := NewWorld(cfg)
-	runs := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens)
+	runs := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens, SweepOptions{})
 
 	table, err := DeltaTable(runs, scenario.NoPandemic)
 	if err != nil {

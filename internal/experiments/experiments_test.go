@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -38,6 +41,29 @@ func TestAllFiguresPass(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFig5CheckOrder pins Fig. 5's output order: the per-region "sharp
+// decrease" checks follow Model.FocusRegions(), on every call (map
+// iteration order would reshuffle them from run to run).
+func TestFig5CheckOrder(t *testing.T) {
+	r := results(t)
+	const suffix = " sharp decrease in weeks 13-14"
+	var want []string
+	for _, c := range r.Dataset.Model.FocusRegions() {
+		want = append(want, c.Name+suffix)
+	}
+	for call := 0; call < 8; call++ {
+		var got []string
+		for _, c := range Fig5(r).Checks {
+			if strings.HasSuffix(c.Name, suffix) {
+				got = append(got, c.Name)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: region checks in order %q, want %q", call, got, want)
+		}
 	}
 }
 
@@ -165,36 +191,57 @@ func TestNoPandemicScenarioIsFlat(t *testing.T) {
 	}
 }
 
-func TestDatasetRunConsumers(t *testing.T) {
+// TestRunStudyConsumers pins the serial study loop's contract: from any
+// start day the extra consumer sees every remaining study day once, in
+// order; the boundary hook sees every boundary from start through
+// StudyDays; and a hook error stops the loop at its boundary.
+func TestRunStudyConsumers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TargetUsers = 600
+	cfg.SkipKPI = true
 	d := NewDataset(cfg)
-	countTraces := &countingTraceConsumer{}
-	countKPI := &countingKPIConsumer{}
-	d.Run([]DayConsumer{countTraces}, []KPIConsumer{countKPI})
-	if countTraces.days != timegrid.SimDays {
-		t.Errorf("trace consumer saw %d days", countTraces.days)
+	homes := d.World.Homes()
+	for _, start := range []int{0, 60} {
+		var bounds []int
+		c := &countingTraceConsumer{}
+		err := runStudy(d, newResults(d, homes), start, func(sd int) error {
+			bounds = append(bounds, sd)
+			return nil
+		}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.days) != timegrid.StudyDays-start {
+			t.Fatalf("start %d: consumer saw %d days, want %d", start, len(c.days), timegrid.StudyDays-start)
+		}
+		for k, day := range c.days {
+			if want := timegrid.StudyDay(start + k).ToSimDay(); day != want {
+				t.Fatalf("start %d: consumer day %d is %d, want %d", start, k, day, want)
+			}
+		}
+		if len(bounds) != timegrid.StudyDays-start+1 || bounds[0] != start || bounds[len(bounds)-1] != timegrid.StudyDays {
+			t.Fatalf("start %d: boundaries %v", start, bounds)
+		}
 	}
-	if countKPI.days != timegrid.SimDays {
-		t.Errorf("KPI consumer saw %d days", countKPI.days)
-	}
-	// SkipFebruary trims the window.
-	cfg.SkipFebruary = true
-	d2 := NewDataset(cfg)
-	c2 := &countingTraceConsumer{}
-	d2.Run([]DayConsumer{c2}, nil)
-	if c2.days != timegrid.StudyDays {
-		t.Errorf("SkipFebruary consumer saw %d days, want %d", c2.days, timegrid.StudyDays)
+
+	stop := errors.New("stop")
+	c := &countingTraceConsumer{}
+	err := runStudy(d, newResults(d, homes), 0, func(sd int) error {
+		if sd == 5 {
+			return stop
+		}
+		return nil
+	}, c)
+	if err != stop || len(c.days) != 5 {
+		t.Fatalf("hook error at boundary 5: err %v after %d days", err, len(c.days))
 	}
 }
 
-type countingTraceConsumer struct{ days int }
+type countingTraceConsumer struct{ days []timegrid.SimDay }
 
-func (c *countingTraceConsumer) ConsumeDay(timegrid.SimDay, []mobsim.DayTrace) { c.days++ }
-
-type countingKPIConsumer struct{ days int }
-
-func (c *countingKPIConsumer) ConsumeDay(timegrid.SimDay, []traffic.CellDay) { c.days++ }
+func (c *countingTraceConsumer) ConsumeDay(day timegrid.SimDay, _ []mobsim.DayTrace) {
+	c.days = append(c.days, day)
+}
 
 func TestWeekHelpers(t *testing.T) {
 	vals := make([]float64, timegrid.StudyWeeks)

@@ -256,7 +256,8 @@ func Fig5(r *Results) *Figure {
 			fmt.Sprintf("%.3f vs national %.3f", refE[ln], natE), "> 1.02×national")
 	}
 	// Every region collapses after the stay-at-home order.
-	for name, gw := range regionW {
+	for _, c := range r.Dataset.Model.FocusRegions() {
+		name, gw := c.Name, regionW[c.Name]
 		f.checkTrue(name+" sharp decrease in weeks 13-14",
 			minOver(gw, 13, 14) < refDelta(refG[name], natG)-30,
 			fmt.Sprintf("min %.1f vs ref %.1f", minOver(gw, 13, 14), refDelta(refG[name], natG)),
@@ -604,7 +605,7 @@ func Fig11(r *Results) *Figure {
 		fmt.Sprintf("N %.1f vs EC %.1f", minOver(perDistrict["N"][traffic.DLActiveUsers], 10, 14),
 			minOver(perDistrict["EC"][traffic.DLActiveUsers], 10, 14)), "N ≥15 points above EC")
 	f.Notes = append(f.Notes,
-		"paper also reports N-district DL users *increasing* +10–23% in weeks 10-14; our model keeps N mildest-declining rather than growing (documented deviation, see EXPERIMENTS.md)")
+		"paper also reports N-district DL users *increasing* +10–23% in weeks 10-14; our model keeps N mildest-declining rather than growing (a known deviation of the synthetic model)")
 	return f
 }
 

@@ -46,7 +46,7 @@ func TestGoldenHeadlines(t *testing.T) {
 		scens = append(scens, *loadScenario(t, name))
 	}
 	w := NewWorld(cfg)
-	runs := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens)
+	runs := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens, SweepOptions{})
 
 	for _, run := range runs {
 		run := run

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -60,38 +61,54 @@ func TestStreamingInstrumentedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepParallelInstrumented pins the sweep-level metrics: every
-// scenario run is counted, timed and queue-stamped exactly once, and the
-// world-builds gauge records the shared-dataset guarantee (builds do not
-// scale with runs).
+// TestSweepParallelInstrumented pins the sweep-level metrics in every
+// scheduler mode: every scenario run is counted once, every scheduled
+// day loop (riders ride inside their host's) is timed and queue-stamped
+// once, the world-builds gauge records the shared-dataset guarantee
+// (builds do not scale with runs), and both per-run bodies report the
+// traffic engine's day latency.
 func TestSweepParallelInstrumented(t *testing.T) {
 	cfg := streamingTestConfig()
-	cfg.SkipKPI = true
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic, scenario.VoiceSurge)
 	w := NewWorld(cfg)
 
-	reg := obs.New()
-	before := WorldBuildCount()
-	runs := mustSweepParallel(t, w, cfg, stream.Config{Workers: 1, Metrics: reg}, scens, 2)
-	if len(runs) != len(scens) {
-		t.Fatalf("got %d runs, want %d", len(runs), len(scens))
-	}
+	for _, opt := range sweepModes(1, 2) {
+		t.Run(fmt.Sprintf("parallel=%d/share=%t", opt.Parallel, opt.SharePrefix), func(t *testing.T) {
+			loops := int64(len(scens))
+			if opt.SharePrefix {
+				plan := planPrefix(scens)
+				for i := range scens {
+					if plan.rider[i] {
+						loops--
+					}
+				}
+			}
+			reg := obs.New()
+			before := WorldBuildCount()
+			runs := mustSweep(t, w, cfg, stream.Config{Workers: 1, Metrics: reg}, scens, opt)
+			if len(runs) != len(scens) {
+				t.Fatalf("got %d runs, want %d", len(runs), len(scens))
+			}
 
-	s := reg.Snapshot()
-	n := int64(len(scens))
-	if got := s.Counters["sweep.runs"]; got != n {
-		t.Errorf("sweep.runs = %d, want %d", got, n)
-	}
-	if got := s.Histograms["sweep.run_ns"].Count; got != n {
-		t.Errorf("sweep.run_ns count = %d, want %d", got, n)
-	}
-	if got := s.Histograms["sweep.queue_wait_ns"].Count; got != n {
-		t.Errorf("sweep.queue_wait_ns count = %d, want %d", got, n)
-	}
-	if got := s.Gauges["sweep.world_builds"]; got != WorldBuildCount() {
-		t.Errorf("sweep.world_builds = %d, want %d (current WorldBuildCount)", got, WorldBuildCount())
-	}
-	if extra := WorldBuildCount() - before; extra != 0 {
-		t.Errorf("instrumented sweep built %d extra worlds, want 0", extra)
+			s := reg.Snapshot()
+			if got := s.Counters["sweep.runs"]; got != int64(len(scens)) {
+				t.Errorf("sweep.runs = %d, want %d", got, len(scens))
+			}
+			if got := s.Histograms["sweep.run_ns"].Count; got != loops {
+				t.Errorf("sweep.run_ns count = %d, want %d", got, loops)
+			}
+			if got := s.Histograms["sweep.queue_wait_ns"].Count; got != loops {
+				t.Errorf("sweep.queue_wait_ns count = %d, want %d", got, loops)
+			}
+			if got := s.Gauges["sweep.world_builds"]; got != WorldBuildCount() {
+				t.Errorf("sweep.world_builds = %d, want %d (current WorldBuildCount)", got, WorldBuildCount())
+			}
+			if s.Histograms["traffic.day_ns"].Count == 0 {
+				t.Error("traffic.day_ns empty: the sweep's engines are not instrumented")
+			}
+			if extra := WorldBuildCount() - before; extra != 0 {
+				t.Errorf("instrumented sweep built %d extra worlds, want 0", extra)
+			}
+		})
 	}
 }

@@ -43,7 +43,7 @@ func TestSharedPrefixSweepMatchesUnshared(t *testing.T) {
 	cfg := goldenConfig()
 	scens := registrySweep(t)
 	w := NewWorld(cfg)
-	ref := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens)
+	ref := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens, SweepOptions{})
 
 	// The expected fork tree over the registry order: each scenario's
 	// parent and the study days it skips (pandemic.Scenario.DivergenceFrom

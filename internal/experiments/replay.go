@@ -10,7 +10,7 @@ import (
 
 // ReplayTraces streams a persisted trace feed (written by
 // feeds.TraceWriter, e.g. `mnosim -raw`) through the given consumers,
-// exactly as Run would stream live simulation output. The feed must
+// exactly as the serial study loop streams live simulation output. The feed must
 // come from a simulation built with the same seed, scale and topology
 // as the dataset the consumers were constructed against — feeds carry
 // tower and user IDs, which are only meaningful relative to that stack.

@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 
-	"repro/internal/core"
-	"repro/internal/popsim"
 	"repro/internal/stream"
 	"repro/internal/timegrid"
 )
@@ -46,57 +44,36 @@ func RunStreamingOn(ctx context.Context, d *Dataset, scfg stream.Config) (*Resul
 	if err := eng.Run(ctx, febSrc); err != nil {
 		return nil, err
 	}
-	return runStreamingStudy(ctx, d, scfg, homes.Detect())
+	return runStreamingStudy(ctx, d, scfg, homes.Detect(), nil)
 }
 
 // runStreamingStudy is the study-window pass over prebuilt February
-// homes. The sweep runner calls it directly with the World's shared
-// homes — February traces are scenario-invariant, so re-detecting per
-// scenario would only repeat identical work.
-func runStreamingStudy(ctx context.Context, d *Dataset, scfg stream.Config, detected map[popsim.UserID]core.Home) (*Results, error) {
-	return runStreamingStudyWith(ctx, d, scfg, detected, nil)
-}
-
-// runStreamingStudyWith is runStreamingStudy drawing reusable state from
-// a sweep worker when one is given: the sharded mobility/matrix stages
-// are reset instead of re-allocated (keeping their per-shard mergers and
-// day buffers warm) and day production recycles through the worker's
-// shared BufferPool, so consecutive scenario runs on one worker stay at
-// the PR 2 zero-alloc steady state. All reused state is scratch —
-// nothing in it influences the computed aggregates — so results are
-// bit-identical to the unpooled path.
+// homes. The sweep's unshared body calls it directly with the World's
+// shared homes — February traces are scenario-invariant, so
+// re-detecting per scenario would only repeat identical work.
 //
-// A failed run leaves the worker's reused state partially consumed;
-// callers must discard the sweepWorker after any error (the sweep
-// runners do).
-func runStreamingStudyWith(ctx context.Context, d *Dataset, scfg stream.Config, detected map[popsim.UserID]core.Home, ws *sweepWorker) (*Results, error) {
+// A non-nil sweep worker supplies reusable state: the sharded
+// mobility/matrix stages are reset instead of re-allocated (keeping
+// their per-shard mergers and day buffers warm) and day production
+// recycles through the worker's shared BufferPool, so consecutive
+// scenario runs on one worker stay at the zero-alloc steady state. All
+// reused state is scratch — nothing in it influences the computed
+// aggregates — so results are bit-identical to the unpooled path. A
+// failed run leaves the worker's state partially consumed; the sweep
+// discards the worker after any error.
+func runStreamingStudy(ctx context.Context, d *Dataset, scfg stream.Config, homes homesMap, ws *sweepWorker) (*Results, error) {
 	scfg = scfg.WithDefaults()
-	cfg := d.Config
-	r := &Results{Dataset: d, Homes: detected}
-
-	// Cohort: users whose detected home county is Inner London.
-	inner := d.Model.InnerLondon()
-	var cohort []popsim.UserID
-	for uid, h := range r.Homes {
-		if h.County == inner.ID {
-			cohort = append(cohort, uid)
-		}
-	}
-
-	r.Mobility = core.NewMobilityAnalyzer(d.Pop, cfg.TopN)
-	r.Matrix = core.NewMobilityMatrix(d.Pop, inner.ID, cohort, cfg.TopN)
+	r := newResults(d, homes)
 
 	// Pass 2: the study window, with sharded mobility/matrix stages and
 	// the exact KPI analyzer in the merge stage.
 	study := stream.NewEngine(scfg)
 	study.AddTraceSharder(ws.mobility(r.Mobility, scfg.Shards))
 	study.AddTraceSharder(ws.matrix(r.Matrix, scfg.Shards))
-	kpiEngine := d.Engine
-	if kpiEngine != nil {
-		r.KPI = core.NewKPIAnalyzer(d.Topology)
+	if r.KPI != nil {
 		study.AddKPIConsumer(r.KPI)
 	}
-	studySrc := stream.NewSimSourcePooled(ctx, d.Sim, kpiEngine,
+	studySrc := stream.NewSimSourcePooled(ctx, d.Sim, d.Engine,
 		timegrid.SimDay(timegrid.StudyDayOffset), timegrid.SimDays, scfg, ws.bufferPool())
 	if err := study.Run(ctx, studySrc); err != nil {
 		return nil, err

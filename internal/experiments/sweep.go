@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/pandemic"
 	"repro/internal/popsim"
 	"repro/internal/stats"
@@ -46,11 +49,248 @@ type SweepRun struct {
 	PrefixDays int
 }
 
-// runScenario executes one sweep entry, converting every failure mode
-// — a cancelled ctx, an injected fault.SweepRun error, a panic
-// anywhere in the scenario stack — into run.Err, so one poisoned
-// scenario cannot take down its sweep.
-func runScenario(ctx context.Context, w *World, cfg Config, scfg stream.Config, sc SweepScenario, idx int, homes homesMap, ws *sweepWorker) (run SweepRun) {
+// SweepOptions tunes RunSweepParallelOpts.
+type SweepOptions struct {
+	// Parallel is the number of scenario runs in flight; <= 1 runs them
+	// one at a time (with the same per-run isolation and OnRun hook).
+	Parallel int
+	// OnRun, when non-nil, observes every finished run — including
+	// failed ones — as soon as its slot completes, before the sweep
+	// returns. Calls are serialized by the runner (no caller locking)
+	// but arrive in completion order, not input order; i is the run's
+	// index in scens. cmd/mnosweep journals completed runs through this
+	// hook so an interrupted sweep can resume.
+	OnRun func(i int, run SweepRun)
+	// SharePrefix switches the per-run body to copy-on-divergence:
+	// scenarios are grouped by divergence day
+	// (pandemic.Scenario.DivergenceFrom), each shared prefix is
+	// simulated once on the checkpointable serial day loop,
+	// checkpointed at the fork day and forked per scenario. Results are
+	// bit-identical to the unshared (streaming) body; runs gain
+	// ForkedFrom/PrefixDays provenance. Multi-scenario sweeps only — a
+	// single scenario has no prefix to share.
+	SharePrefix bool
+}
+
+// sweepMetrics are the sweep runner's handles, resolved once per sweep
+// from scfg.Metrics (nil when metrics are off — no clock reads then).
+type sweepMetrics struct {
+	runs    *obs.Counter   // sweep.runs: scenario runs settled, riders included
+	runNs   *obs.Histogram // sweep.run_ns: wall time per scheduled day loop, one shard per worker
+	queueNs *obs.Histogram // sweep.queue_wait_ns: how long each scheduled day loop queued behind the workers
+	builds  *obs.Gauge     // sweep.world_builds: process-wide World builds (should stay at 1 per sweep)
+
+	// Copy-on-divergence counters (SharePrefix sweeps only).
+	prefixSaved *obs.Counter // sweep.prefix_days_saved: study days skipped by forking checkpoints
+	forks       *obs.Counter // sweep.checkpoint_forks: runs started from a forked checkpoint
+}
+
+func newSweepMetrics(r *obs.Registry, parallel int) *sweepMetrics {
+	if r == nil {
+		return nil
+	}
+	return &sweepMetrics{
+		runs:        r.Counter("sweep.runs"),
+		runNs:       r.Histogram("sweep.run_ns", parallel),
+		queueNs:     r.Histogram("sweep.queue_wait_ns", 1),
+		builds:      r.Gauge("sweep.world_builds"),
+		prefixSaved: r.Counter("sweep.prefix_days_saved"),
+		forks:       r.Counter("sweep.checkpoint_forks"),
+	}
+}
+
+// RunSweepParallelOpts executes every scenario over the shared world and
+// extracts the headline statistics per run. cfg carries the per-run
+// knobs (TopN, SkipKPI, …); its Scenario field is ignored — the sweep
+// entries decide. The world is built exactly once by the caller and the
+// February home-detection pass — scenario-invariant, like everything
+// else in the world — runs once (World.Homes) and is shared by every
+// run.
+//
+// Runs share the world's seed, so scenarios are compared on *paired*
+// draws: every agent keeps its home, anchors, device and relocation
+// candidacy across runs, and only the behavioural response differs.
+//
+// Scheduling: max(1, min(opt.Parallel, len(scens))) workers pull runs
+// from a ready queue over the sweep's fork tree. Without SharePrefix
+// every scenario is a root, ready at once, and runs the streaming study
+// (runStreamingStudy, sized by scfg). With SharePrefix a scenario
+// becomes ready when its parent has completed and runs the
+// checkpointable serial loop (runPrefixScenario); trace-equal leaves
+// ride inside their host's loop instead of being scheduled. Every run is
+// deterministic in (world, scenario, start checkpoint), so the output —
+// re-sequenced to the input order — is bit-identical for either body at
+// any worker count (TestParallelSweepMatchesSerial,
+// TestSharedPrefixSweepMatchesUnshared, under -race). Note the
+// goroutine budget multiplies: each concurrent unshared run drives its
+// own streaming engine with scfg.Workers workers, so sweeps that set
+// Parallel > 1 usually want scfg.Workers = 1 (PERFORMANCE.md, "Parallel
+// sweeps").
+//
+// Warm state is recycled, never shared: traffic engines come from one
+// sweep-wide pool (Engine.Rebind is bit-identical to a fresh engine),
+// and each worker threads a sweepWorker — day-buffer pool and resettable
+// sharded stages — through its consecutive unshared runs. As a result
+// the returned Results carry no live traffic engine
+// (Results.Dataset.Engine is nil); callers that want to replay KPI
+// generation for one run should Instantiate a fresh stack for it.
+//
+// Failures are isolated per run: a scenario that panics or hits an
+// injected fault gets its Err set while the others complete; a failed
+// parent's children and riders fall back to standalone day-0 runs. The
+// returned slice always has one entry per scenario, in input order; the
+// error is nil iff every run succeeded, else the joined per-run
+// failures. Cancelling ctx marks the not-yet-run scenarios with
+// ctx.Err(), and in-flight runs drain their pipelines before returning.
+func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream.Config, scens []SweepScenario, opt SweepOptions) ([]SweepRun, error) {
+	out := make([]SweepRun, len(scens))
+	if len(scens) == 0 {
+		return out, nil
+	}
+	scfg = scfg.WithDefaults()
+	homes := w.Homes()
+	shared := opt.SharePrefix && len(scens) > 1
+	plan := rootPlan(len(scens))
+	if shared {
+		plan = planPrefix(scens)
+	}
+	store := newCkStore(&plan)
+	pool := &enginePool{}
+	parallel := max(1, min(opt.Parallel, len(scens)))
+	m := newSweepMetrics(scfg.Metrics, parallel)
+
+	// The ready queue holds every scheduled index at most once (each has
+	// one parent), so len(scens) capacity never blocks a producer; the
+	// last settled run closes it.
+	ready := make(chan int, len(scens))
+	for i := range scens {
+		if plan.parent[i] < 0 {
+			ready <- i
+		}
+	}
+	var (
+		mu        sync.Mutex // serializes OnRun and the completion count
+		completed int
+	)
+
+	// settle records one finished run (host, rider or fallback): its
+	// fork provenance, the checkpoints its children await, the metrics
+	// and the OnRun hook; then it schedules the run's children.
+	settle := func(i int, run SweepRun, prefixDays int, snaps map[int]*Checkpoint) {
+		if run.Err == nil {
+			if prefixDays > 0 {
+				run.ForkedFrom, run.PrefixDays = scens[plan.parent[i]].Name, prefixDays
+				if m != nil {
+					m.forks.Inc()
+					m.prefixSaved.Add(int64(prefixDays))
+				}
+			}
+			store.put(i, snaps)
+		}
+		out[i] = run
+		if m != nil {
+			m.runs.Inc()
+		}
+		for _, c := range plan.children[i] {
+			ready <- c
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if opt.OnRun != nil {
+			opt.OnRun(i, run)
+		}
+		if completed++; completed == len(scens) {
+			close(ready)
+		}
+	}
+
+	// runShared runs host i on the checkpointable loop with its riders
+	// inline. A failed host reports no rider outcomes; its riders then
+	// fall back to standalone day-0 runs, exactly as the children of a
+	// failed checkpoint parent do.
+	runShared := func(i int) {
+		start := store.take(i)
+		prefixDays := 0
+		if start != nil {
+			prefixDays = int(start.Day)
+		}
+		run, riderRuns, snaps := runPrefixScenario(ctx, w, cfg, scfg, scens[i], i, homes, start, plan.snapAt[i], plan.riderSpecs(i, scens), pool)
+		settle(i, run, prefixDays, snaps)
+		if run.Err == nil {
+			for _, rr := range riderRuns {
+				settle(rr.idx, rr.run, rr.days, nil)
+			}
+			return
+		}
+		for _, ri := range plan.riders[i] {
+			frun, _, _ := runPrefixScenario(ctx, w, cfg, scfg, scens[ri], ri, homes, nil, nil, nil, pool)
+			settle(ri, frun, 0, nil)
+		}
+	}
+
+	var fanOut time.Time
+	if m != nil {
+		fanOut = time.Now()
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < parallel; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			var runSh *obs.HistShard
+			if m != nil {
+				runSh = m.runNs.Shard(p)
+			}
+			var ws *sweepWorker // the unshared body's warm scratch
+			for i := range ready {
+				var t0 time.Time
+				if m != nil {
+					t0 = time.Now()
+					m.queueNs.Observe(int64(t0.Sub(fanOut)))
+				}
+				if shared {
+					runShared(i)
+				} else {
+					if ws == nil {
+						ws = newSweepWorker(scfg)
+					}
+					run := runScenario(ctx, w, cfg, scfg, scens[i], i, homes, ws, pool)
+					if run.Err != nil {
+						// The aborted run may have left the worker's
+						// buffers or mergers partially consumed; never
+						// thread them into the next scenario.
+						ws = nil
+					}
+					settle(i, run, 0, nil)
+				}
+				if m != nil {
+					runSh.Observe(int64(time.Since(t0)))
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	if m != nil {
+		m.builds.Set(WorldBuildCount())
+	}
+	return out, sweepErr(out)
+}
+
+// runGate is the admission check of every sweep run and rider: a
+// cancelled ctx or an injected fault.SweepRun fault fails the run before
+// it does any work.
+func runGate(ctx context.Context, scfg stream.Config, idx int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return scfg.Fault.Fire(fault.SweepRun, int64(idx))
+}
+
+// runScenario is the unshared sweep body: one scenario through the
+// streaming study, converting every failure mode — a cancelled ctx, an
+// injected fault.SweepRun error, a panic anywhere in the scenario stack
+// — into run.Err, so one poisoned scenario cannot take down its sweep.
+func runScenario(ctx context.Context, w *World, cfg Config, scfg stream.Config, sc SweepScenario, idx int, homes homesMap, ws *sweepWorker, pool *enginePool) (run SweepRun) {
 	run.Name = sc.Name
 	defer func() {
 		if v := recover(); v != nil {
@@ -58,23 +298,82 @@ func runScenario(ctx context.Context, w *World, cfg Config, scfg stream.Config, 
 			run.Err = stream.NewWorkerPanic("sweep", -1, -1, v)
 		}
 	}()
-	if err := ctx.Err(); err != nil {
-		run.Err = err
-		return
-	}
-	if err := scfg.Fault.Fire(fault.SweepRun, int64(idx)); err != nil {
-		run.Err = err
+	if run.Err = runGate(ctx, scfg, idx); run.Err != nil {
 		return
 	}
 	c := cfg
 	c.Scenario = sc.Scenario
-	r, err := runStreamingStudyWith(ctx, ws.instantiate(w, c), scfg, homes, ws)
+	d := w.instantiate(c, pool.get())
+	r, err := runStreamingStudy(ctx, d, scfg, homes, ws)
 	if err != nil {
 		run.Err = err
 		return
 	}
+	pool.release(d)
 	run.Results, run.Headlines = r, Headlines(r)
 	return
+}
+
+// sweepWorker is the reusable per-worker state of the unshared sweep
+// body: a shared day-buffer recycle pool and the resettable sharded
+// consumer wrappers. Everything in it is scratch — reused allocations
+// whose contents are rebuilt every run — so carrying it across scenario
+// runs changes nothing about the results, only the allocation profile:
+// after a worker's first scenario, later scenarios run on warm buffers
+// and mergers.
+//
+// A nil *sweepWorker is valid and means "no reuse": every accessor then
+// falls back to fresh construction, which is how RunStreamingOn uses
+// runStreamingStudy. A worker whose run failed must be discarded — its
+// reused state may be partially consumed by the aborted run.
+type sweepWorker struct {
+	pool *stream.BufferPool
+	mob  *stream.Mobility
+	mat  *stream.Matrix
+}
+
+// newSweepWorker sizes the worker's buffer pool to one run's in-flight
+// window so the steady state never falls back to allocation. The pool is
+// instrumented here (not by the sources that later share it): after the
+// first scenario warms it, every later draw should be a stream.pool hit.
+func newSweepWorker(scfg stream.Config) *sweepWorker {
+	scfg = scfg.WithDefaults()
+	return &sweepWorker{pool: stream.NewBufferPool(scfg.Workers + scfg.Buffer).Instrument(scfg.Metrics)}
+}
+
+// bufferPool returns the worker's shared pool, or nil (private pool per
+// source) without a worker.
+func (ws *sweepWorker) bufferPool() *stream.BufferPool {
+	if ws == nil {
+		return nil
+	}
+	return ws.pool
+}
+
+// mobility returns a sharded mobility stage bound to a, reusing the
+// worker's wrapper when it has one.
+func (ws *sweepWorker) mobility(a *core.MobilityAnalyzer, shards int) *stream.Mobility {
+	if ws == nil {
+		return stream.NewMobility(a, shards)
+	}
+	if ws.mob == nil {
+		ws.mob = stream.NewMobility(a, shards)
+		return ws.mob
+	}
+	return ws.mob.Reset(a)
+}
+
+// matrix returns a sharded matrix stage bound to m, reusing the
+// worker's wrapper when it has one.
+func (ws *sweepWorker) matrix(m *core.MobilityMatrix, shards int) *stream.Matrix {
+	if ws == nil {
+		return stream.NewMatrix(m, shards)
+	}
+	if ws.mat == nil {
+		ws.mat = stream.NewMatrix(m, shards)
+		return ws.mat
+	}
+	return ws.mat.Reset(m)
 }
 
 // sweepErr joins the failures of a sweep into one error (nil when every
@@ -87,34 +386,6 @@ func sweepErr(runs []SweepRun) error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// RunSweep executes every scenario over the shared world, each through
-// the streaming engine (with its recycled day buffers), and extracts the
-// headline statistics per run. cfg carries the per-run knobs (TopN,
-// SkipKPI, …); its Scenario field is ignored — the sweep entries decide.
-// The world is built exactly once by the caller; RunSweep never
-// constructs another, and the February home-detection pass — scenario-
-// invariant, like everything else in the world — runs once and is
-// shared by every run.
-//
-// Runs share the world's seed, so scenarios are compared on *paired*
-// draws: every agent keeps its home, anchors, device and relocation
-// candidacy across runs, and only the behavioural response differs.
-//
-// Failures are isolated per run: a scenario that panics or hits an
-// injected fault gets its Err set while the others complete. The
-// returned slice always has one entry per scenario, in input order; the
-// error is nil iff every run succeeded, else the joined per-run
-// failures. Cancelling ctx marks the not-yet-run scenarios with
-// ctx.Err().
-func RunSweep(ctx context.Context, w *World, cfg Config, scfg stream.Config, scens []SweepScenario) ([]SweepRun, error) {
-	homes := w.Homes()
-	out := make([]SweepRun, len(scens))
-	for i, sc := range scens {
-		out[i] = runScenario(ctx, w, cfg, scfg, sc, i, homes, nil)
-	}
-	return out, sweepErr(out)
 }
 
 // SweepTable tabulates a sweep as headline rows × scenario columns,

@@ -35,7 +35,7 @@ func TestSweepBuildsWorldExactlyOnce(t *testing.T) {
 	}
 	before := WorldBuildCount()
 	w := NewWorld(cfg)
-	runs := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens)
+	runs := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens, SweepOptions{})
 	if got := WorldBuildCount() - before; got != 1 {
 		t.Fatalf("3-scenario sweep built %d worlds, want exactly 1", got)
 	}

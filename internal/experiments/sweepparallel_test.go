@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -37,12 +38,26 @@ func assertSweepRunsEqual(t *testing.T, want, got []SweepRun) {
 	}
 }
 
-// TestParallelSweepMatchesSerial asserts the tentpole invariant: the
-// parallel sweep executor is bit-identical to serial RunSweep at worker
-// counts 1, 2, 4 and 8, re-sequenced to the input order, while building
-// zero additional Worlds (counter-verified). Run under -race this also
-// exercises the cross-worker synchronization (the shared immutable
-// World, the shared homes map, the per-worker pools).
+// sweepModes is the parity grid of the sweep scheduler: every worker
+// count under both per-run bodies.
+func sweepModes(parallel ...int) []SweepOptions {
+	var modes []SweepOptions
+	for _, share := range []bool{false, true} {
+		for _, p := range parallel {
+			modes = append(modes, SweepOptions{Parallel: p, SharePrefix: share})
+		}
+	}
+	return modes
+}
+
+// TestParallelSweepMatchesSerial asserts the scheduler invariant: at
+// worker counts 1, 2, 4 and 8, under both the streaming (unshared) and
+// the copy-on-divergence (shared) body, the sweep is bit-identical to
+// the Parallel 1 unshared reference, re-sequenced to the input order,
+// while building zero additional Worlds (counter-verified). Run under
+// -race this also exercises the cross-worker synchronization (the
+// shared immutable World, the shared homes map, the engine pool, the
+// checkpoint store).
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	cfg := sweepConfig()
 	scens := sweepScenarios(t,
@@ -50,12 +65,13 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		scenario.SecondWave, scenario.VoiceSurge)
 	w := NewWorld(cfg)
 	scfg := stream.Config{Workers: 1}
-	serial := mustSweep(t, w, cfg, scfg, scens)
+	ref := mustSweep(t, w, cfg, scfg, scens, SweepOptions{Parallel: 1})
 
 	before := WorldBuildCount()
-	for _, parallel := range []int{1, 2, 4, 8} {
-		got := mustSweepParallel(t, w, cfg, scfg, scens, parallel)
-		assertSweepRunsEqual(t, serial, got)
+	for _, opt := range sweepModes(1, 2, 4, 8) {
+		t.Run(fmt.Sprintf("parallel=%d/share=%t", opt.Parallel, opt.SharePrefix), func(t *testing.T) {
+			assertSweepRunsEqual(t, ref, mustSweep(t, w, cfg, scfg, scens, opt))
+		})
 	}
 	if extra := WorldBuildCount() - before; extra != 0 {
 		t.Fatalf("parallel sweeps built %d extra worlds, want 0", extra)
@@ -63,40 +79,41 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 }
 
 // TestParallelSweepMatchesSerialKPI covers the engine-reuse path: with
-// KPI enabled and more scenarios than workers, each sweep worker runs
-// several scenarios on one rebound traffic engine (Engine.Rebind), and
-// the KPI series must still be bit-identical to the serial sweep's
-// freshly constructed engines.
+// KPI enabled and more scenarios than workers, runs draw rebound traffic
+// engines from the sweep's pool (Engine.Rebind), and the KPI series must
+// still be bit-identical to the reference sweep's, under both bodies.
 func TestParallelSweepMatchesSerialKPI(t *testing.T) {
 	cfg := streamingTestConfig() // KPI enabled, sparser topology
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic, scenario.VoiceSurge)
 	w := NewWorld(cfg)
 	scfg := stream.Config{Workers: 1}
-	serial := mustSweep(t, w, cfg, scfg, scens)
-	for i := range serial {
-		if serial[i].Results.KPI == nil {
-			t.Fatalf("run %s has no KPI analyzer", serial[i].Name)
+	ref := mustSweep(t, w, cfg, scfg, scens, SweepOptions{Parallel: 1})
+	for i := range ref {
+		if ref[i].Results.KPI == nil {
+			t.Fatalf("run %s has no KPI analyzer", ref[i].Name)
 		}
 	}
-	got := mustSweepParallel(t, w, cfg, scfg, scens, 2)
-	assertSweepRunsEqual(t, serial, got)
-	// Documented contract: parallel runs carry no live engine — it is
-	// per-worker scratch that would otherwise alias every run of a
-	// worker to its last scenario.
-	for _, run := range got {
-		if run.Results.Dataset.Engine != nil {
-			t.Fatalf("run %s exports the worker's shared engine", run.Name)
+	for _, opt := range sweepModes(2) {
+		got := mustSweep(t, w, cfg, scfg, scens, opt)
+		assertSweepRunsEqual(t, ref, got)
+		// Documented contract: sweep runs carry no live engine — it is
+		// pooled scratch that would otherwise alias every run to the
+		// scenario it was rebound to last.
+		for _, run := range got {
+			if run.Results.Dataset.Engine != nil {
+				t.Fatalf("%+v: run %s exports a pooled engine", opt, run.Name)
+			}
 		}
 	}
 }
 
-// TestParallelSweepDegradesToSerial pins the fallback contract:
-// parallel <= 1 and single-scenario sweeps take the serial path.
+// TestParallelSweepDegradesToSerial pins the clamp: a single scenario
+// with Parallel 8 runs on one worker.
 func TestParallelSweepDegradesToSerial(t *testing.T) {
 	cfg := sweepConfig()
 	scens := sweepScenarios(t, scenario.DefaultCovid)
 	w := NewWorld(cfg)
-	runs := mustSweepParallel(t, w, cfg, stream.Config{Workers: 1}, scens, 8)
+	runs := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens, SweepOptions{Parallel: 8})
 	if len(runs) != 1 || runs[0].Name != scenario.DefaultCovid {
 		t.Fatalf("unexpected runs: %+v", runs)
 	}

@@ -21,20 +21,11 @@ func mustStreamingConfig(t testing.TB, cfg Config, scfg stream.Config) *Results 
 	return r
 }
 
-func mustSweep(t testing.TB, w *World, cfg Config, scfg stream.Config, scens []SweepScenario) []SweepRun {
+func mustSweep(t testing.TB, w *World, cfg Config, scfg stream.Config, scens []SweepScenario, opt SweepOptions) []SweepRun {
 	t.Helper()
-	runs, err := RunSweep(context.Background(), w, cfg, scfg, scens)
+	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, scfg, scens, opt)
 	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
-	}
-	return runs
-}
-
-func mustSweepParallel(t testing.TB, w *World, cfg Config, scfg stream.Config, scens []SweepScenario, parallel int) []SweepRun {
-	t.Helper()
-	runs, err := RunSweepParallel(context.Background(), w, cfg, scfg, scens, parallel)
-	if err != nil {
-		t.Fatalf("RunSweepParallel: %v", err)
+		t.Fatalf("RunSweepParallelOpts(%+v): %v", opt, err)
 	}
 	return runs
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/pandemic"
 	"repro/internal/popsim"
 	"repro/internal/radio"
-	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
 
@@ -35,7 +34,7 @@ type World struct {
 	Pop      *popsim.Population
 
 	homesOnce sync.Once
-	homes     map[popsim.UserID]core.Home
+	homes     homesMap
 }
 
 // Homes returns the February home-detection result, computed once per
@@ -44,15 +43,9 @@ type World struct {
 // baselines there and the simulated traces — hence the detected homes —
 // are scenario-invariant (asserted by TestWorldHomesScenarioInvariant).
 // Callers must treat the returned map as read-only.
-func (w *World) Homes() map[popsim.UserID]core.Home {
+func (w *World) Homes() homesMap {
 	w.homesOnce.Do(func() {
-		sim := mobsim.New(w.Pop, pandemic.Default(), w.Seed)
-		hd := core.NewHomeDetector(w.Topology)
-		buf := mobsim.NewDayBuffer()
-		for day := timegrid.SimDay(0); day < timegrid.FebruaryDays; day++ {
-			hd.ConsumeDay(day, sim.DayInto(buf, day))
-		}
-		w.homes = hd.Detect()
+		w.homes = detectHomes(mobsim.New(w.Pop, pandemic.Default(), w.Seed), w.Topology)
 	})
 	return w.homes
 }
@@ -95,8 +88,8 @@ func NewWorld(cfg Config) *World {
 	}
 }
 
-// Instantiate binds a scenario and the per-run knobs (TopN, SkipKPI,
-// SkipFebruary) to the world, returning a ready run stack. cfg.Scenario
+// Instantiate binds a scenario and the per-run knobs (TopN, SkipKPI)
+// to the world, returning a ready run stack. cfg.Scenario
 // nil means the calibrated default. The world fields of cfg (Seed,
 // TargetUsers, PopPerTower) are overwritten with the world's own values
 // so the Dataset's Config always reflects the stack it runs on.
@@ -108,8 +101,8 @@ func (w *World) Instantiate(cfg Config) *Dataset {
 // when non-nil (and KPI is enabled), the engine — built earlier on this
 // same world and seed — is rebound to the new scenario instead of
 // constructing a fresh one, keeping its warm scratch. Rebind preserves
-// bit-identity with NewEngine (see traffic.Engine.Rebind), so sweep
-// workers thread their engine through consecutive scenario runs.
+// bit-identity with NewEngine (see traffic.Engine.Rebind), so a sweep
+// recycles warm engines across its runs (enginePool).
 func (w *World) instantiate(cfg Config, reuse *traffic.Engine) *Dataset {
 	d := w.instantiateNoSim(cfg, reuse)
 	d.Sim = mobsim.New(w.Pop, d.Scenario, d.Config.Seed)

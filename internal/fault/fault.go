@@ -51,7 +51,7 @@ const (
 	// stage, keyed by the day being merged.
 	MergeDay Site = "stream.merge"
 	// SweepRun fires at the start of each scenario run of
-	// experiments.RunSweep/RunSweepParallel, keyed by the run's index
+	// experiments.RunSweepParallelOpts, keyed by the run's index
 	// in the sweep's input order.
 	SweepRun Site = "sweep.run"
 )
