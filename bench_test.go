@@ -401,6 +401,23 @@ func BenchmarkDayMetrics(b *testing.B) {
 	}
 }
 
+// BenchmarkKPIConsumeDay folds one 8k-user study day of cell records
+// into a warm KPIAnalyzer: the national P10/median/P90 and every county,
+// cluster and district median, selected in place. allocs/op should read
+// 0.
+func BenchmarkKPIConsumeDay(b *testing.B) {
+	r := benchResults(b)
+	day := timegrid.SimDay(timegrid.StudyDayOffset + 30)
+	cells := r.Dataset.Engine.Day(day, benchDay)
+	k := core.NewKPIAnalyzer(r.Dataset.Topology)
+	k.ConsumeDay(day, cells)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.ConsumeDay(day, cells)
+	}
+}
+
 // BenchmarkDayMetricsMerger is BenchmarkDayMetrics through a reused
 // VisitMerger, the steady-state shape of every analyzer. allocs/op
 // should read 0.

@@ -107,9 +107,11 @@ func (k *KPIAnalyzer) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 		}
 	}
 
+	// The buckets are this day's scratch, so the order statistics are
+	// selected in place: no copy, no allocation.
+	var qs [3]float64
 	for m := 0; m < traffic.NumMetrics; m++ {
-		qs, err := stats.Quantiles(k.natVals[m], 10, 50, 90)
-		if err != nil {
+		if stats.QuantilesInPlace(k.natVals[m], qs[:], 10, 50, 90) != nil {
 			continue
 		}
 		k.natP10.v[m][sd] = qs[0]
@@ -119,8 +121,8 @@ func (k *KPIAnalyzer) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 	store := func(buckets [][traffic.NumMetrics][]float64, grids []seriesGrid) {
 		for g := range buckets {
 			for m := 0; m < traffic.NumMetrics; m++ {
-				if len(buckets[g][m]) > 0 {
-					grids[g].v[m][sd] = stats.Median(buckets[g][m])
+				if stats.QuantilesInPlace(buckets[g][m], qs[:1], 50) == nil {
+					grids[g].v[m][sd] = qs[0]
 				}
 			}
 		}

@@ -12,6 +12,10 @@ import (
 // ErrEmpty is returned by reductions over empty datasets.
 var ErrEmpty = errors.New("stats: empty dataset")
 
+// ErrNaNPercentile is returned by the percentile functions for a NaN
+// percentile, which has no rank.
+var ErrNaNPercentile = errors.New("stats: NaN percentile")
+
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	var s float64
@@ -46,22 +50,14 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks; xs need not be sorted. It returns
-// ErrEmpty for an empty slice.
+// Percentile returns the p-th percentile (0 ≤ p ≤ 100, clamped) of xs
+// using linear interpolation between closest ranks; xs need not be
+// sorted and is left untouched. It returns ErrEmpty for an empty slice
+// and ErrNaNPercentile for a NaN p.
 func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	return percentileSelect(cp, p), nil
+	var out [1]float64
+	err := QuantilesInPlace(append([]float64(nil), xs...), out[:], p)
+	return out[0], err
 }
 
 // percentileSorted assumes xs is sorted ascending and non-empty; it is
@@ -80,31 +76,37 @@ func percentileSorted(xs []float64, p float64) float64 {
 	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
-// fless is the ordering sort.Float64s used: ascending with NaN smaller
-// than everything. The selection below must reproduce it exactly so the
-// order statistics — and every percentile built from them — stay
-// bit-identical to the sort-based implementation they replaced.
-func fless(a, b float64) bool {
-	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
-}
-
 // selectKth partially orders xs so that xs[k] holds the k-th order
-// statistic, everything before it is ≤ and everything after is ≥
-// (Hoare-style 3-way quickselect, median-of-three pivot, insertion sort
-// below a small cutoff). O(n) expected, allocation-free — the KPI fold
-// calls this per day per metric, where the full sort it replaced was
-// the single largest profile entry of a sweep.
+// statistic in sort.Float64s order (NaN before every number), everything
+// before it is ≤ and everything after is ≥. A linear pre-pass moves the
+// NaNs to the front; the rest is a Hoare-style 3-way quickselect on
+// plain < comparisons (median-of-three pivot, insertion sort below a
+// small cutoff), O(n) expected and allocation-free. On NaN-free input
+// the pre-pass swaps nothing and the select makes exactly the
+// comparisons and swaps of a NaN-aware comparator, so it leaves xs as
+// that comparator would: the same order statistics, ties and signed
+// zeros included.
 func selectKth(xs []float64, k int) {
-	lo, hi := 0, len(xs) // select within xs[lo:hi)
+	nan := 0
+	for i, x := range xs {
+		if math.IsNaN(x) {
+			xs[i], xs[nan] = xs[nan], xs[i]
+			nan++
+		}
+	}
+	if k < nan {
+		return
+	}
+	lo, hi := nan, len(xs) // select within xs[lo:hi)
 	for hi-lo > 16 {
 		// Median-of-three pivot value.
 		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
-		if fless(b, a) {
+		if b < a {
 			a, b = b, a
 		}
-		if fless(c, b) { // median of {a ≤ b, c} is max(a, c)
+		if c < b { // median of {a ≤ b, c} is max(a, c)
 			b = c
-			if fless(b, a) {
+			if b < a {
 				b = a
 			}
 		}
@@ -113,11 +115,11 @@ func selectKth(xs []float64, k int) {
 		lt, i, gt := lo, lo, hi
 		for i < gt {
 			switch {
-			case fless(xs[i], p):
+			case xs[i] < p:
 				xs[lt], xs[i] = xs[i], xs[lt]
 				lt++
 				i++
-			case fless(p, xs[i]):
+			case p < xs[i]:
 				gt--
 				xs[i], xs[gt] = xs[gt], xs[i]
 			default:
@@ -134,33 +136,35 @@ func selectKth(xs []float64, k int) {
 		}
 	}
 	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && fless(xs[j], xs[j-1]); j-- {
+		for j := i; j > lo && xs[j] < xs[j-1]; j-- {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
 }
 
-// percentileSelect computes the interpolated percentile of cp in place
-// (cp is scratch, non-empty): the two closest-rank order statistics are
-// located by selection instead of a full sort, with results identical
-// to percentile-of-sorted.
-func percentileSelect(cp []float64, p float64) float64 {
-	if len(cp) == 1 {
-		return cp[0]
+// percentileSelect computes the interpolated percentile of xs in place
+// (xs is scratch, non-empty; 0 ≤ p ≤ 100): the two closest-rank order
+// statistics are located by selection instead of a full sort, with
+// results identical to percentile-of-sorted.
+func percentileSelect(xs []float64, p float64) float64 {
+	if len(xs) == 1 {
+		return xs[0]
 	}
-	rank := p / 100 * float64(len(cp)-1)
+	rank := p / 100 * float64(len(xs)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
-	selectKth(cp, lo)
-	x := cp[lo]
+	selectKth(xs, lo)
+	x := xs[lo]
 	if lo == hi {
 		return x
 	}
 	// hi == lo+1, and after selectKth everything right of lo is ≥ the
-	// k-th statistic: the (lo+1)-th is the minimum of that suffix.
-	y := cp[lo+1]
-	for _, v := range cp[lo+2:] {
-		if fless(v, y) {
+	// k-th statistic: the (lo+1)-th is the minimum of that suffix. NaNs
+	// sit in front, so a NaN at lo+1 is that minimum and stays it (no
+	// number compares < NaN); otherwise the suffix is NaN-free.
+	y := xs[lo+1]
+	for _, v := range xs[lo+2:] {
+		if v < y {
 			y = v
 		}
 	}
@@ -177,27 +181,35 @@ func Median(xs []float64) float64 {
 	return m
 }
 
-// Quantiles computes several percentiles of xs over one scratch copy.
-// Each percentile is located by selection rather than a full sort; the
-// partial order earlier selections leave behind accelerates the later
-// ones. It returns ErrEmpty for an empty slice.
+// Quantiles computes several percentiles of xs over one scratch copy,
+// leaving xs untouched; see QuantilesInPlace.
 func Quantiles(xs []float64, ps ...float64) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
 	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if p < 0 {
-			p = 0
-		}
-		if p > 100 {
-			p = 100
-		}
-		out[i] = percentileSelect(cp, p)
+	if err := QuantilesInPlace(append([]float64(nil), xs...), out, ps...); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// QuantilesInPlace writes the ps-th percentiles (each clamped to
+// [0, 100]) of xs to out[:len(ps)], reordering xs as scratch: neither a
+// copy nor an allocation. Each percentile is located by selection
+// rather than a full sort, and the partial order earlier selections
+// leave behind accelerates the later ones. It returns ErrEmpty for an
+// empty xs and ErrNaNPercentile if any p is NaN, writing nothing.
+func QuantilesInPlace(xs, out []float64, ps ...float64) error {
+	if len(xs) == 0 {
+		return ErrEmpty
+	}
+	for _, p := range ps {
+		if math.IsNaN(p) {
+			return ErrNaNPercentile
+		}
+	}
+	for i, p := range ps {
+		out[i] = percentileSelect(xs, min(max(p, 0), 100))
+	}
+	return nil
 }
 
 // Pearson returns the Pearson correlation coefficient between xs and ys.

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -52,6 +54,17 @@ func TestPercentile(t *testing.T) {
 	}
 	if _, err := Percentile(nil, 50); err != ErrEmpty {
 		t.Errorf("expected ErrEmpty, got %v", err)
+	}
+	// A NaN percentile has no rank: an error, never an index panic.
+	if _, err := Percentile([]float64{1, 2, 3}, math.NaN()); !errors.Is(err, ErrNaNPercentile) {
+		t.Errorf("Percentile(NaN) error = %v, want ErrNaNPercentile", err)
+	}
+	if _, err := Quantiles([]float64{1, 2, 3}, 50, math.NaN()); !errors.Is(err, ErrNaNPercentile) {
+		t.Errorf("Quantiles(50, NaN) error = %v, want ErrNaNPercentile", err)
+	}
+	var out [1]float64
+	if err := QuantilesInPlace([]float64{1, 2, 3}, out[:], math.NaN()); !errors.Is(err, ErrNaNPercentile) {
+		t.Errorf("QuantilesInPlace(NaN) error = %v, want ErrNaNPercentile", err)
 	}
 	// Input must not be reordered.
 	in := []float64{3, 1, 2}
@@ -236,30 +249,38 @@ func TestClamp(t *testing.T) {
 	}
 }
 
+// sortedPercentile is the sort-based percentile definition the
+// selection machinery must reproduce: sort.Float64s (NaN first), then
+// closed-form interpolation between the closest ranks.
+func sortedPercentile(xs []float64, p float64) float64 {
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	if len(cp) == 1 {
+		return cp[0]
+	}
+	rank := p / 100 * float64(len(cp)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return cp[lo]
+	}
+	frac := rank - float64(lo)
+	return cp[lo]*(1-frac) + cp[hi]*frac
+}
+
+// sameValue is == with NaN equal to NaN.
+func sameValue(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
 // TestPercentileSelectMatchesSort pins the selection-based percentile
 // machinery to the sort-based definition it replaced: for adversarial
-// inputs (duplicates, constants, NaNs, already-sorted, reversed) and a
-// deterministic random sweep, every percentile must be bit-identical to
-// percentile-of-sorted (NaN treated as smaller than every number, as
-// sort.Float64s orders it).
+// inputs (duplicates, constants, already-sorted, reversed, NaN at every
+// position, mixes of ±0, ±Inf and NaN) and a deterministic random sweep,
+// every percentile must equal percentile-of-sorted (NaN treated as
+// smaller than every number, as sort.Float64s orders it), through
+// Quantiles, Percentile and QuantilesInPlace alike.
 func TestPercentileSelectMatchesSort(t *testing.T) {
-	ref := func(xs []float64, p float64) float64 {
-		cp := make([]float64, len(xs))
-		copy(cp, xs)
-		sort.Float64s(cp)
-		if len(cp) == 1 {
-			return cp[0]
-		}
-		rank := p / 100 * float64(len(cp)-1)
-		lo := int(math.Floor(rank))
-		hi := int(math.Ceil(rank))
-		if lo == hi {
-			return cp[lo]
-		}
-		frac := rank - float64(lo)
-		return cp[lo]*(1-frac) + cp[hi]*frac
-	}
-	nan := math.NaN()
+	nan, inf := math.NaN(), math.Inf(1)
+	negZero := math.Copysign(0, -1)
 	cases := [][]float64{
 		{1},
 		{2, 1},
@@ -269,6 +290,34 @@ func TestPercentileSelectMatchesSort(t *testing.T) {
 		{nan, 3, 1, nan, 2},
 		{nan, nan, nan},
 		{0, -0.0, 1e-300, -1e300, math.Inf(1), math.Inf(-1)},
+		{negZero, 0, nan, inf, -inf, negZero, 0, nan},
+		{inf, -inf, inf, -inf, nan, inf, -inf},
+		{negZero, negZero, 0, negZero, 0, 0, negZero},
+	}
+	// NaN at every position of an array below and one above the
+	// insertion cutoff.
+	for _, size := range []int{7, 40} {
+		for pos := 0; pos < size; pos++ {
+			xs := make([]float64, size)
+			for i := range xs {
+				xs[i] = float64((i*7)%size) / 3
+			}
+			xs[pos] = nan
+			cases = append(cases, xs)
+		}
+	}
+	// ±0, ±Inf and NaN mixed into a tie-heavy array above the cutoff.
+	specials := []float64{negZero, 0, inf, -inf, nan}
+	for shift := range specials {
+		xs := make([]float64, 33)
+		for i := range xs {
+			if i%3 == 0 {
+				xs[i] = specials[(i/3+shift)%len(specials)]
+			} else {
+				xs[i] = float64(i % 4)
+			}
+		}
+		cases = append(cases, xs)
 	}
 	// Deterministic LCG sweep: sizes crossing the insertion cutoff, heavy
 	// duplicate mass.
@@ -289,26 +338,70 @@ func TestPercentileSelectMatchesSort(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
+		inPlace := make([]float64, len(ps))
+		if err := QuantilesInPlace(append([]float64(nil), xs...), inPlace, ps...); err != nil {
+			t.Fatalf("case %d: %v", ci, err)
+		}
 		for pi, p := range ps {
-			want := ref(orig, p)
-			same := got[pi] == want || (math.IsNaN(got[pi]) && math.IsNaN(want))
-			if !same {
+			want := sortedPercentile(orig, p)
+			if !sameValue(got[pi], want) {
 				t.Errorf("case %d p=%v: Quantiles = %v, want %v", ci, p, got[pi], want)
+			}
+			if !sameValue(inPlace[pi], want) {
+				t.Errorf("case %d p=%v: QuantilesInPlace = %v, want %v", ci, p, inPlace[pi], want)
 			}
 			one, err := Percentile(orig, p)
 			if err != nil {
 				t.Fatalf("case %d: %v", ci, err)
 			}
-			same = one == want || (math.IsNaN(one) && math.IsNaN(want))
-			if !same {
+			if !sameValue(one, want) {
 				t.Errorf("case %d p=%v: Percentile = %v, want %v", ci, p, one, want)
 			}
 		}
 		for i := range xs {
-			same := xs[i] == orig[i] || (math.IsNaN(xs[i]) && math.IsNaN(orig[i]))
-			if !same {
+			if !sameValue(xs[i], orig[i]) {
 				t.Fatalf("case %d: input mutated at %d", ci, i)
 			}
 		}
 	}
+}
+
+// FuzzQuantilesInPlace checks the in-place selection against the sort
+// reference on arbitrary inputs: bytes become float64s (NaN and ±Inf
+// included), p is any float64, and every requested percentile must
+// equal percentile-of-sorted (NaN results as "both NaN"); a NaN p must
+// be refused with ErrNaNPercentile.
+func FuzzQuantilesInPlace(f *testing.F) {
+	f.Add([]byte{}, 50.0)
+	f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(2.5)), 10.0)
+	f.Add(make([]byte, 8*40), 90.0)
+	f.Fuzz(func(t *testing.T, data []byte, p float64) {
+		var xs []float64
+		for ; len(data) >= 8; data = data[8:] {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+		orig := append([]float64(nil), xs...)
+		ps := []float64{p, 50, 10, 90}
+		var out [4]float64
+		err := QuantilesInPlace(xs, out[:], ps...)
+		switch {
+		case len(xs) == 0:
+			if err != ErrEmpty {
+				t.Fatalf("empty input: error %v, want ErrEmpty", err)
+			}
+			return
+		case math.IsNaN(p):
+			if err != ErrNaNPercentile {
+				t.Fatalf("NaN p: error %v, want ErrNaNPercentile", err)
+			}
+			return
+		case err != nil:
+			t.Fatal(err)
+		}
+		for i, q := range ps {
+			if want := sortedPercentile(orig, min(max(q, 0), 100)); !sameValue(out[i], want) {
+				t.Fatalf("p=%v: QuantilesInPlace = %v, sort reference %v (input %v)", q, out[i], want, orig)
+			}
+		}
+	})
 }

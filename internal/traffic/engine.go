@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/census"
 	"repro/internal/mobsim"
@@ -140,21 +139,9 @@ type Engine struct {
 	// tile is the accumulator grid the day's demand folds into.
 	tile accTile
 
-	// hv stages the ≤24 hourly values of each metric while one cell's
-	// records are reduced to their daily medians (hvN counts the staged
-	// values; DLThroughput skips undefined hours). Fixed-size arrays:
-	// the reduction never touches the heap and the median runs as a
-	// bounded insertion select instead of a library sort.
-	hv  [NumMetrics][timegrid.HoursPerDay]float64
-	hvN [NumMetrics]int
 	// weights stages the per-tower sector load split; warm after the
 	// first day, so DayAppend runs allocation-free.
 	weights []float64
-	// ch is the record handed to emit callbacks; it lives on the engine
-	// because its address crosses the callback boundary, which would
-	// otherwise force a heap escape per day. Callbacks already must copy
-	// what they keep — the record is rewritten every cell-hour.
-	ch CellHour
 
 	// obs holds the engine's resolved metric handles; nil when the engine
 	// is uninstrumented (the default). Clones share the pointer, so every
@@ -240,7 +227,6 @@ func (e *Engine) Clone() *Engine {
 	c := *e
 	c.tile = newAccTile(len(e.tile.acc))
 	c.weights = nil
-	c.hvN = [NumMetrics]int{}
 	return &c
 }
 
@@ -268,16 +254,6 @@ func (e *Engine) InterconnectCapacity(day timegrid.SimDay) float64 {
 	return e.baselineBusyVoiceMin * headroom
 }
 
-// CellHour is the raw hourly KPI record of one 4G cell, before the §2.4
-// daily-median reduction; DayHourly exposes it for analyses that need
-// sub-daily resolution. A zero DLThroughput marks an hour with no
-// active users (throughput undefined).
-type CellHour struct {
-	Cell   radio.CellID
-	Hour   int
-	Values [NumMetrics]float64
-}
-
 // Day runs the KPI model for one simulated day over the given traces and
 // returns one record per active 4G cell: for each metric the median of
 // its 24 hourly values. Deterministic in (engine construction, day,
@@ -288,10 +264,10 @@ func (e *Engine) Day(day timegrid.SimDay, traces []mobsim.DayTrace) []CellDay {
 }
 
 // DayAppend is Day appending into dst (pass prev[:0] to reuse capacity).
-// The hourly staging buffers live on the engine and the medians are
-// taken by a fixed-24 insertion select, so a warm engine produces a day
-// of records without heap allocation. Records are bit-identical to
-// Day's.
+// The reduction stages each cell's hourly values in fixed-size arrays on
+// the stack and takes the medians by a fixed-24 select, so a warm engine
+// produces a day of records without heap allocation. Records are
+// bit-identical to Day's.
 func (e *Engine) DayAppend(dst []CellDay, day timegrid.SimDay, traces []mobsim.DayTrace) []CellDay {
 	sp := obs.Start(e.obs.day())
 	f := e.dayFactorsFor(day)
@@ -300,54 +276,6 @@ func (e *Engine) DayAppend(dst []CellDay, day timegrid.SimDay, traces []mobsim.D
 	e.obs.total().Add(int64(nv))
 	sp.End()
 	return dst
-}
-
-// reduceAppend runs the reduction over the tile, staging each
-// cell's 24 hourly values and appending its daily-median record to dst.
-func (e *Engine) reduceAppend(dst []CellDay, day timegrid.SimDay, f *dayFactors) []CellDay {
-	var cur radio.CellID = -1
-	flush := func() {
-		if cur < 0 {
-			return
-		}
-		var cd CellDay
-		cd.Cell = cur
-		for m := 0; m < NumMetrics; m++ {
-			cd.Values[m] = median24(&e.hv[m], e.hvN[m])
-		}
-		dst = append(dst, cd)
-	}
-	e.reduce(day, f, func(ch *CellHour) {
-		if ch.Cell != cur {
-			flush()
-			cur = ch.Cell
-			e.hvN = [NumMetrics]int{}
-		}
-		for m := 0; m < NumMetrics; m++ {
-			if m == int(DLThroughput) && ch.Values[m] == 0 {
-				continue // hour without active users: throughput undefined
-			}
-			e.hv[m][e.hvN[m]] = ch.Values[m]
-			e.hvN[m]++
-		}
-	})
-	flush()
-	return dst
-}
-
-// DayHourly runs the KPI model at hourly resolution, emitting one record
-// per (active 4G cell, hour). Records of one cell arrive consecutively,
-// hours ascending.
-func (e *Engine) DayHourly(day timegrid.SimDay, traces []mobsim.DayTrace, emit func(*CellHour)) {
-	e.forEachCellHour(day, traces, emit)
-}
-
-// forEachCellHour is the serial engine core: the day prologue, demand
-// accumulation into the tile, and the per-cell-hour reduction.
-func (e *Engine) forEachCellHour(day timegrid.SimDay, traces []mobsim.DayTrace, emit func(*CellHour)) {
-	f := e.dayFactorsFor(day)
-	e.accumulate(day, &f, traces)
-	e.reduce(day, &f, emit)
 }
 
 // dayFactorsFor resolves the scenario once for the whole day.
@@ -444,17 +372,14 @@ func (e *Engine) accumulate(day timegrid.SimDay, f *dayFactors, traces []mobsim.
 	return visits
 }
 
-// reduce turns the tile into per-cell-hour KPI records:
-// interconnect congestion from the national voice total, then the
-// per-cell computation, emitting cells in tower order, hours ascending.
-func (e *Engine) reduce(day timegrid.SimDay, f *dayFactors, emit func(*CellHour)) {
+// congestion returns the interconnect packet loss of every hour of the
+// day: national voice demand per hour versus the day's capacity. Only
+// touched towers can contribute; summing them in ascending tower index
+// replays a full scan's order (the skipped rows are exact zeros), so the
+// totals are bit-identical.
+func (e *Engine) congestion(day timegrid.SimDay) [timegrid.HoursPerDay]float64 {
 	p := &e.params
 	t := &e.tile
-
-	// Interconnect congestion: national voice demand per hour versus the
-	// day's capacity. Only touched towers can contribute; summing them
-	// in ascending tower index replays the old full scan's order (the
-	// skipped rows are exact zeros), so the totals are bit-identical.
 	slices.Sort(t.touched)
 	var nationalVoice [timegrid.HoursPerDay]float64
 	for _, ti := range t.touched {
@@ -464,7 +389,7 @@ func (e *Engine) reduce(day timegrid.SimDay, f *dayFactors, emit func(*CellHour)
 		}
 	}
 	capacity := e.InterconnectCapacity(day)
-	var congestionLoss [timegrid.HoursPerDay]float64
+	var loss [timegrid.HoursPerDay]float64
 	for h := 0; h < timegrid.HoursPerDay; h++ {
 		util := nationalVoice[h] / capacity
 		if util > 1 {
@@ -472,15 +397,35 @@ func (e *Engine) reduce(day timegrid.SimDay, f *dayFactors, emit func(*CellHour)
 			if extra > p.CongestionLossCapPct {
 				extra = p.CongestionLossCapPct
 			}
-			congestionLoss[h] = extra
+			loss[h] = extra
 		}
 	}
+	return loss
+}
 
-	// Per-cell-hour KPI computation. Untouched towers still emit — an
-	// idle active cell has well-defined load/loss KPIs — reading the
-	// shared zero tile.
+// reduceAppend turns the tile into one daily-median record per active 4G
+// cell, appended to dst in tower order. Untouched towers still report —
+// an idle active cell has well-defined load/loss KPIs — reading the
+// shared zero tile.
+//
+// Rank sharing: ConnectedUsers, DLActiveUsers, VoiceVolume and
+// VoiceUsers are a cell's hourly formula applied to one tower-hour input
+// (presSec, activeSec, voiceMin), and VoiceULLoss is one applied to the
+// cell's RadioLoad. Each formula only multiplies, divides or adds by
+// constants, so under round-to-nearest it is weakly monotone (or
+// antitone, for a negative constant) and maps the two middle order
+// statistics of its input onto the two middle order statistics of its
+// output, at worst swapped. The medians of those five metrics are
+// therefore computed from the input's middle pair — selected once per
+// tower for the tower-hour inputs — bit-identical to taking the median
+// of 24 hourly values. Only DLVolume, ULVolume, RadioLoad, VoiceDLLoss
+// (which adds the hour's congestion loss) and DLThroughput (over the
+// hours with active users) are staged per hour.
+func (e *Engine) reduceAppend(dst []CellDay, day timegrid.SimDay, f *dayFactors) []CellDay {
+	p := &e.params
+	congestionLoss := e.congestion(day)
 	const baselineLoadNorm = 0.35
-	ch := &e.ch
+	var dlVol, ulVol, load, dlLoss, thr, presSec, activeSec, voiceMin [timegrid.HoursPerDay]float64
 
 	for ti := range e.topo.Towers {
 		tower := &e.topo.Towers[ti]
@@ -491,7 +436,7 @@ func (e *Engine) reduce(day timegrid.SimDay, f *dayFactors, emit func(*CellHour)
 		if len(cells) == 0 {
 			continue
 		}
-		hours := t.hours(ti)
+		hours := e.tile.hours(ti)
 
 		// Per-cell-day load split weights: uneven sector loading.
 		weights := e.weights[:0]
@@ -504,64 +449,103 @@ func (e *Engine) reduce(day timegrid.SimDay, f *dayFactors, emit func(*CellHour)
 		}
 		e.weights = weights
 
+		for h := range hours {
+			presSec[h], activeSec[h], voiceMin[h] = hours[h].presSec, hours[h].activeSec, hours[h].voiceMin
+		}
+		presMid := middle24(&presSec, timegrid.HoursPerDay)
+		activeMid := middle24(&activeSec, timegrid.HoursPerDay)
+		voiceMid := middle24(&voiceMin, timegrid.HoursPerDay)
+
 		for ci, cid := range cells {
 			share := weights[ci] / wsum
 			csrc := rng.Stream2(e.seed, uint64(cid)^0xCE11, uint64(day))
 			thrJitter := 0.92 + 0.16*csrc.Float64()
 
-			for h := 0; h < timegrid.HoursPerDay; h++ {
+			nThr := 0
+			for h := range hours {
 				a := &hours[h]
-				pres := a.presSec / 3600 * share * e.subsPerAgent
 				active := a.activeSec / 3600 * share * e.subsPerAgent
 				dl := a.dlMB * share * e.subsPerAgent
 				ul := a.ulMB * share * e.subsPerAgent
-				vmin := a.voiceMin * share * e.subsPerAgent
-				vMB := vmin * p.VoiceMBPerMin
+				vMB := a.voiceMin * share * e.subsPerAgent * p.VoiceMBPerMin
 
-				load := p.LoadOverhead + (dl+ul+2*vMB)/p.CellCapacityMBPerHour
-				if load > 1 {
-					load = 1
+				l := p.LoadOverhead + (dl+ul+2*vMB)/p.CellCapacityMBPerHour
+				if l > 1 {
+					l = 1
 				}
-				loadNorm := load / baselineLoadNorm
-
-				ch.Cell = cid
-				ch.Hour = h
-				ch.Values[DLVolume] = dl + vMB
-				ch.Values[ULVolume] = ul + vMB
-				ch.Values[DLActiveUsers] = active
-				ch.Values[RadioLoad] = load
-				ch.Values[ConnectedUsers] = pres
-				ch.Values[VoiceVolume] = vMB
-				ch.Values[VoiceUsers] = vmin / 60
-				ch.Values[VoiceULLoss] = p.BaseULLossPct * (0.35 + 0.65*loadNorm)
-				ch.Values[VoiceDLLoss] = p.BaseDLLossPct*(0.35+0.65*loadNorm) + congestionLoss[h]
-				ch.Values[DLThroughput] = 0
+				dlVol[h] = dl + vMB
+				ulVol[h] = ul + vMB
+				load[h] = l
+				dlLoss[h] = p.BaseDLLossPct*(0.35+0.65*(l/baselineLoadNorm)) + congestionLoss[h]
 				if active > 0.01 {
-					ch.Values[DLThroughput] = p.BaseThroughputMbps * f.throttleF * thrJitter * (1 - p.CongestionK*load*load)
+					// An hour whose throughput comes out 0 counts as one
+					// without active users: throughput undefined.
+					if v := p.BaseThroughputMbps * f.throttleF * thrJitter * (1 - p.CongestionK*l*l); v != 0 {
+						thr[nThr] = v
+						nThr++
+					}
 				}
-				emit(ch)
 			}
+			loadMid := middle24(&load, timegrid.HoursPerDay)
+
+			// Images of the middle pairs under the cell's formulas. The
+			// explicit conversions round each image before the pair is
+			// summed, as the staged hourly values were, so no platform
+			// fuses the last multiply into the sum.
+			var img [2][NumMetrics]float64
+			for j := range img {
+				vmin := voiceMid[j] * share * e.subsPerAgent
+				img[j][ConnectedUsers] = float64(presMid[j] / 3600 * share * e.subsPerAgent)
+				img[j][DLActiveUsers] = float64(activeMid[j] / 3600 * share * e.subsPerAgent)
+				img[j][VoiceVolume] = float64(vmin * p.VoiceMBPerMin)
+				img[j][VoiceUsers] = float64(vmin / 60)
+				img[j][RadioLoad] = loadMid[j]
+				img[j][VoiceULLoss] = float64(p.BaseULLossPct * (0.35 + 0.65*(loadMid[j]/baselineLoadNorm)))
+			}
+			cd := CellDay{Cell: cid}
+			for _, m := range rankShared {
+				cd.Values[m] = (img[0][m] + img[1][m]) / 2
+			}
+			cd.Values[DLVolume] = median24(&dlVol, timegrid.HoursPerDay)
+			cd.Values[ULVolume] = median24(&ulVol, timegrid.HoursPerDay)
+			cd.Values[VoiceDLLoss] = median24(&dlLoss, timegrid.HoursPerDay)
+			cd.Values[DLThroughput] = median24(&thr, nThr)
+			dst = append(dst, cd)
 		}
 	}
+	return dst
 }
 
-// median24 returns the median of xs[:n], partially reordering the
-// bounded scratch in place: an order-statistic select (Hoare-partition
-// quickselect finishing with a short insertion pass) instead of a full
-// library sort — ~60 compares instead of the ~300 a 24-element sort
-// costs, with zero allocation. The median is an order statistic, so the
-// value is bit-identical to sorting with sort.Float64s and picking the
-// middle (no NaNs reach the staging buffers).
+// rankShared lists the metrics reduceAppend takes from middle pairs.
+var rankShared = [...]Metric{ConnectedUsers, DLActiveUsers, VoiceVolume, VoiceUsers, RadioLoad, VoiceULLoss}
+
+// median24 returns the median of xs[:n] (0 for n == 0), partially
+// reordering the bounded scratch in place: an order-statistic select
+// (Hoare-partition quickselect finishing with a short insertion pass)
+// instead of a full library sort — ~60 compares instead of the ~300 a
+// 24-element sort costs, with zero allocation. The median is an order
+// statistic, so the value is bit-identical to sorting with
+// sort.Float64s and picking the middle (no NaNs reach the staging
+// arrays).
 func median24(xs *[timegrid.HoursPerDay]float64, n int) float64 {
-	switch n {
-	case 0:
+	if n == 0 {
 		return 0
-	case 1:
-		return xs[0]
 	}
+	mid := middle24(xs, n)
+	if n%2 == 1 {
+		return mid[0]
+	}
+	return (mid[0] + mid[1]) / 2
+}
+
+// middle24 returns the two middle order statistics of xs[:n] (n ≥ 1),
+// ranks n/2-1 and n/2 (0-based) for even n; for odd n both are the
+// median.
+func middle24(xs *[timegrid.HoursPerDay]float64, n int) [2]float64 {
 	k := n / 2
 	if n%2 == 1 {
-		return select24(xs, n, k)
+		v := select24(xs, n, k)
+		return [2]float64{v, v}
 	}
 	lo := select24(xs, n, k-1)
 	// select24 leaves xs[k:n] >= xs[k-1], so the k-th order statistic
@@ -572,7 +556,7 @@ func median24(xs *[timegrid.HoursPerDay]float64, n int) float64 {
 			hi = xs[i]
 		}
 	}
-	return (lo + hi) / 2
+	return [2]float64{lo, hi}
 }
 
 // select24 partially reorders xs[:n] so that xs[k] holds the k-th order
@@ -628,21 +612,4 @@ func select24(xs *[timegrid.HoursPerDay]float64, n, k int) float64 {
 		xs[j+1] = v
 	}
 	return xs[k]
-}
-
-// medianInPlace returns the median of xs, sorting it in place — the
-// caller's staging buffer is reset before its next fill, so no copy is
-// needed. The engine's own reduction uses the fixed-size median24; this
-// slice form remains the reference implementation the tests compare
-// against.
-func medianInPlace(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"encoding/binary"
 	"math"
 	"sync"
 	"testing"
@@ -287,56 +288,6 @@ func TestInactiveTowersExcluded(t *testing.T) {
 	}
 }
 
-func TestDayHourlyConsistentWithDay(t *testing.T) {
-	_, sim, eng := fixture(t)
-	day := timegrid.SimDay(timegrid.StudyDayOffset + 9)
-	traces := sim.Day(day)
-
-	// Recompute the daily medians from the hourly stream and compare
-	// with Day's output.
-	type agg struct{ vals [NumMetrics][]float64 }
-	perCell := map[radio.CellID]*agg{}
-	var order []radio.CellID
-	hours := 0
-	eng.DayHourly(day, traces, func(ch *CellHour) {
-		a := perCell[ch.Cell]
-		if a == nil {
-			a = &agg{}
-			perCell[ch.Cell] = a
-			order = append(order, ch.Cell)
-		}
-		if ch.Hour < 0 || ch.Hour >= timegrid.HoursPerDay {
-			t.Fatalf("hour %d out of range", ch.Hour)
-		}
-		for m := 0; m < NumMetrics; m++ {
-			if m == int(DLThroughput) && ch.Values[m] == 0 {
-				continue
-			}
-			a.vals[m] = append(a.vals[m], ch.Values[m])
-		}
-		hours++
-	})
-	if hours == 0 {
-		t.Fatal("no hourly records")
-	}
-
-	days := eng.Day(day, traces)
-	if len(days) != len(order) {
-		t.Fatalf("Day returned %d cells, hourly saw %d", len(days), len(order))
-	}
-	for i, cd := range days {
-		if cd.Cell != order[i] {
-			t.Fatalf("cell order mismatch at %d", i)
-		}
-		a := perCell[cd.Cell]
-		for m := 0; m < NumMetrics; m++ {
-			if got, want := cd.Values[m], medianInPlace(a.vals[m]); got != want {
-				t.Fatalf("cell %d metric %v: daily %v vs hourly-median %v", cd.Cell, Metric(m), got, want)
-			}
-		}
-	}
-}
-
 func TestDayHourlyDiurnalShape(t *testing.T) {
 	_, sim, eng := fixture(t)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 1)
@@ -378,4 +329,29 @@ func TestMedian24MatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzMedian24 checks the fixed-24 select against sort.Float64s on
+// arbitrary inputs of every staging length: bytes become up to 24
+// float64s (NaN words dropped — the reduction never stages one), and the
+// median must equal the sorted middle, or both be NaN (±Inf pairs).
+func FuzzMedian24(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(1.5)))
+	f.Add(make([]byte, 8*timegrid.HoursPerDay))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var xs [timegrid.HoursPerDay]float64
+		n := 0
+		for ; len(data) >= 8 && n < timegrid.HoursPerDay; data = data[8:] {
+			if v := math.Float64frombits(binary.LittleEndian.Uint64(data)); !math.IsNaN(v) {
+				xs[n] = v
+				n++
+			}
+		}
+		ref := append([]float64(nil), xs[:n]...)
+		want := medianInPlace(ref)
+		if got := median24(&xs, n); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("median24 = %v, sort reference %v (sorted input %v)", got, want, ref)
+		}
+	})
 }
