@@ -594,7 +594,7 @@ func sweepBenchFixture(b *testing.B) (*experiments.World, experiments.Config, []
 // world.
 func BenchmarkSweepSerial(b *testing.B) {
 	w, cfg, scens := sweepBenchFixture(b)
-	scfg := stream.Config{Workers: 1}
+	scfg := stream.Config{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -607,11 +607,11 @@ func BenchmarkSweepSerial(b *testing.B) {
 // benchmarkSweepParallel runs the same sweep concurrently. Output is
 // bit-identical to BenchmarkSweepSerial (asserted by the parity tests);
 // what varies is wall clock, which on multi-core hardware should
-// approach serial/min(parallel, cores, scenarios). Each scenario run is
-// kept single-worker so the comparison isolates the outer parallelism.
+// approach serial/min(parallel, cores, scenarios): every scenario run is
+// one serial day loop, so the sweep's parallelism is all outer.
 func benchmarkSweepParallel(b *testing.B, parallel int) {
 	w, cfg, scens := sweepBenchFixture(b)
-	scfg := stream.Config{Workers: 1}
+	scfg := stream.Config{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -634,9 +634,8 @@ func BenchmarkSweepParallel4(b *testing.B) { benchmarkSweepParallel(b, 4) }
 // 1000 users the per-cell engine reduction and KPI fold, which do not
 // scale with users, dominate each day and flatten the relative win of
 // the shared prefix; at the production scale the per-user simulation
-// work and the streaming pipeline overhead the forked path avoids are
-// proportionally larger, so this pair reflects what mnosweep/ablate
-// users actually see. February home detection is warmed so the pair
+// work the forked path avoids is proportionally larger, so this pair
+// reflects what mnosweep/ablate users actually see. February home detection is warmed so the pair
 // measures only the study passes.
 var (
 	sweepAllOnce   sync.Once
@@ -671,7 +670,7 @@ func sweepAllFixture(b *testing.B) (*experiments.World, experiments.Config, []ex
 // "Copy-on-divergence sweeps" for the expected gap decomposition).
 func benchmarkSweepRegistry(b *testing.B, share bool) {
 	w, cfg, scens := sweepAllFixture(b)
-	scfg := stream.Config{Workers: 1}
+	scfg := stream.Config{}
 	opt := experiments.SweepOptions{Parallel: 1, SharePrefix: share}
 	b.ReportAllocs()
 	b.ResetTimer()

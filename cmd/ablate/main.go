@@ -13,15 +13,15 @@
 // built once); each then instantiates whatever per-scenario or
 // per-parameter stack it needs on top.
 //
-// -share-prefix (default on) runs the scenario ablation
-// copy-on-divergence: shared scenario prefixes are simulated once and
-// forked at the divergence day (bit-identical output, see
-// PERFORMANCE.md, "Copy-on-divergence sweeps").
+// The scenario ablation always runs copy-on-divergence: shared scenario
+// prefixes are simulated once and forked at the divergence day
+// (bit-identical output, see PERFORMANCE.md, "Copy-on-divergence
+// sweeps").
 //
 // Usage:
 //
 //	ablate [-which all|scenario|interconnect|topn|nights|offload] [-users N]
-//	       [-share-prefix=BOOL] [-cpuprofile F] [-memprofile F]
+//	       [-cpuprofile F] [-memprofile F]
 package main
 
 import (
@@ -45,11 +45,10 @@ import (
 
 func main() {
 	var (
-		which       = flag.String("which", "all", "ablation to run")
-		users       = flag.Int("users", 4000, "synthetic users")
-		seed        = flag.Uint64("seed", 42, "random seed")
-		sharePrefix = flag.Bool("share-prefix", true, "simulate shared scenario prefixes once and fork at the divergence day (scenario ablation; bit-identical output)")
-		pf          = prof.Flags()
+		which = flag.String("which", "all", "ablation to run")
+		users = flag.Int("users", 4000, "synthetic users")
+		seed  = flag.Uint64("seed", 42, "random seed")
+		pf    = prof.Flags()
 	)
 	flag.Parse()
 
@@ -66,7 +65,7 @@ func main() {
 				fmt.Println()
 			}
 		}
-		run("scenario", func(w *experiments.World) { ablateScenario(w, *sharePrefix) })
+		run("scenario", ablateScenario)
 		run("interconnect", ablateInterconnect)
 		run("topn", ablateTopN)
 		run("nights", ablateNights)
@@ -77,13 +76,11 @@ func main() {
 }
 
 // ablateScenario compares counterfactual timelines on the parallel
-// sweep runner: the shared world, up to two scenarios in flight at a
-// time (each streaming run kept single-worker so the goroutine budget
-// stays bounded), the headline statistics extracted by
-// experiments.Headlines, and every timeline differenced against the
-// no-pandemic baseline. sharePrefix runs it copy-on-divergence
-// (bit-identical output, shared prefixes simulated once).
-func ablateScenario(w *experiments.World, sharePrefix bool) {
+// sweep runner: the shared world, up to two scenario runs in flight at
+// a time with shared prefixes simulated once, the headline statistics
+// extracted by experiments.Headlines, and every timeline differenced
+// against the no-pandemic baseline.
+func ablateScenario(w *experiments.World) {
 	cfg := experiments.DefaultConfig()
 	cfg.SkipKPI = true
 	var scens []experiments.SweepScenario
@@ -95,8 +92,8 @@ func ablateScenario(w *experiments.World, sharePrefix bool) {
 		}
 		scens = append(scens, experiments.SweepScenario{Name: name, Scenario: s})
 	}
-	runs, err := experiments.RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1}, scens,
-		experiments.SweepOptions{Parallel: 2, SharePrefix: sharePrefix})
+	runs, err := experiments.RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{}, scens,
+		experiments.SweepOptions{Parallel: 2, SharePrefix: true})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return

@@ -35,9 +35,10 @@ type journalHeader struct {
 	NoKPI bool   `json:"nokpi"`
 	// SharePrefix records whether the sweep ran copy-on-divergence.
 	// Results are bit-identical either way, but a journal must not stitch
-	// runs recorded under differing settings — the setting changes which
-	// simulation path produced the entries, and a resume that silently
-	// mixes paths would mask any parity regression between them.
+	// runs recorded under differing settings — the setting decides
+	// whether entries came from forked checkpoints or day-0 runs, and a
+	// resume that silently mixes the two plans would mask any parity
+	// regression between them.
 	SharePrefix bool     `json:"share_prefix"`
 	Scenarios   []string `json:"scenarios"`
 }

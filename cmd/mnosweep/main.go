@@ -8,21 +8,25 @@
 // files (the SCENARIOS.md schema); "all" expands to every registry
 // built-in.
 //
+// Each scenario label must be unique: runs, the journal and the delta
+// table are keyed by label, so a repeated registry name or a spec file
+// whose name collides with another entry is a usage error.
+//
+// Every scenario run executes on the checkpointable serial study loop.
 // -share-prefix (default on) runs the sweep copy-on-divergence: the
 // scenarios are grouped by the first day their behaviour can differ
 // (pandemic.Scenario.DivergenceFrom), each shared prefix is simulated
 // once, checkpointed at the fork day and forked per scenario. Output is
-// bit-identical to -share-prefix=false; the journal records which runs
+// bit-identical to -share-prefix=false, which re-simulates every
+// scenario from day 0 on the same loop; the journal records which runs
 // were forked and how many days they skipped. See PERFORMANCE.md,
-// "Copy-on-divergence sweeps". With -share-prefix=false each scenario
-// instead streams through the sharded engine (internal/stream, sized by
-// -workers/-shards) with recycled day buffers: more CPU, but the
-// per-run streaming workers usually finish sooner on the wall clock.
+// "Copy-on-divergence sweeps".
 //
-// -parallel N executes up to N scenario runs concurrently: output is
-// bit-identical to the serial sweep, re-sequenced to the input order. An
-// unshared parallel sweep usually wants -workers 1, since each
-// concurrent run drives its own streaming engine. -baseline NAME additionally prints a differential table —
+// -parallel N executes up to N scenario runs concurrently, one core
+// each: output is bit-identical to the serial sweep, re-sequenced to
+// the input order. -parallel is the sweep's only concurrency knob (a
+// -share-prefix=false -parallel 1 sweep runs every scenario on one
+// core). -baseline NAME additionally prints a differential table —
 // every scenario's per-day KPI and mobility series against the named
 // run: absolute and percent mean deltas plus trough/peak day shifts.
 //
@@ -46,8 +50,7 @@
 // Usage:
 //
 //	mnosweep [-list] [-scenarios NAMES|all] [-users N] [-seed S] [-nokpi]
-//	         [-workers W] [-shards K] [-parallel P]
-//	         [-share-prefix=BOOL]
+//	         [-parallel P] [-share-prefix=BOOL]
 //	         [-baseline NAME] [-journal FILE] [-resume] [-fault SPEC]
 //	         [-metrics ADDR] [-metrics-out FILE]
 //	         [-cpuprofile F] [-memprofile F]
@@ -78,9 +81,7 @@ func main() {
 		users       = flag.Int("users", 4000, "synthetic native smartphone users")
 		seed        = flag.Uint64("seed", 42, "master random seed (shared by every scenario: paired draws)")
 		noKPI       = flag.Bool("nokpi", false, "skip the traffic engine (mobility headlines only, ~3× faster)")
-		workers     = flag.Int("workers", 0, "worker goroutines per run (0: GOMAXPROCS)")
-		shards      = flag.Int("shards", 0, "logical shards (0: default)")
-		parallel    = flag.Int("parallel", 1, "concurrent scenario runs (1: serial; output is identical either way)")
+		parallel    = flag.Int("parallel", 1, "concurrent scenario runs, one core each (1: serial; output is identical either way)")
 		sharePrefix = flag.Bool("share-prefix", true, "simulate shared scenario prefixes once and fork at the divergence day (bit-identical output; =false re-simulates every scenario from day 0)")
 		baseline    = flag.String("baseline", "", "scenario name to difference every other run against (prints the delta table)")
 		journalPath = flag.String("journal", "", "record completed runs to this JSON-lines file as they finish")
@@ -99,7 +100,7 @@ func main() {
 	defer stop()
 
 	err := of.Run(func() error {
-		return run(ctx, *names, *users, *seed, *noKPI, *workers, *shards, *parallel, *sharePrefix, *baseline, *journalPath, *resume, *faultSpec, of.Registry())
+		return run(ctx, *names, *users, *seed, *noKPI, *parallel, *sharePrefix, *baseline, *journalPath, *resume, *faultSpec, of.Registry())
 	})
 	cli.Exit("mnosweep", err)
 }
@@ -112,7 +113,8 @@ func printRegistry() {
 	fmt.Println("\npass -scenarios with any of these and/or paths to JSON spec files (see SCENARIOS.md)")
 }
 
-// resolve expands the -scenarios flag into named sweep entries.
+// resolve expands the -scenarios flag into named sweep entries, refusing
+// repeated labels.
 func resolve(names string) ([]experiments.SweepScenario, error) {
 	var tokens []string
 	if names == "all" {
@@ -128,6 +130,7 @@ func resolve(names string) ([]experiments.SweepScenario, error) {
 		return nil, cli.Usagef("no scenarios given")
 	}
 	out := make([]experiments.SweepScenario, 0, len(tokens))
+	seen := make(map[string]string, len(tokens))
 	for _, tok := range tokens {
 		sp, err := scenario.LoadSpec(tok)
 		if err != nil {
@@ -141,12 +144,16 @@ func resolve(names string) ([]experiments.SweepScenario, error) {
 		if label == "" {
 			label = strings.TrimSuffix(filepath.Base(tok), ".json")
 		}
+		if prev, dup := seen[label]; dup {
+			return nil, cli.Usagef("duplicate scenario label %q (from %q and %q); every sweep entry needs a unique name", label, prev, tok)
+		}
+		seen[label] = tok
 		out = append(out, experiments.SweepScenario{Name: label, Scenario: s})
 	}
 	return out, nil
 }
 
-func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, workers, shards, parallel int, sharePrefix bool, baseline, journalPath string, resume bool, faultSpec string, reg *obs.Registry) error {
+func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, parallel int, sharePrefix bool, baseline, journalPath string, resume bool, faultSpec string, reg *obs.Registry) error {
 	scens, err := resolve(names)
 	if err != nil {
 		return err
@@ -182,7 +189,7 @@ func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, 
 	cfg.TargetUsers = users
 	cfg.Seed = seed
 	cfg.SkipKPI = noKPI
-	scfg := stream.Config{Workers: workers, Shards: shards, Metrics: reg, Fault: fi}
+	scfg := stream.Config{Metrics: reg, Fault: fi}
 
 	// Journal bookkeeping: open (or resume) before any work, so a crash
 	// at any later point leaves a loadable file behind.

@@ -24,7 +24,8 @@
 //     over one shared World and SweepTable compares their headlines.
 //   - internal/stream: the sharded, backpressured streaming analytics
 //     engine (worker-pool day production, hash-partitioned shard
-//     stages, deterministic merge) every scaling path builds on.
+//     stages, deterministic merge) behind RunStreaming, mnostream and
+//     the feed replays.
 //   - internal/scenario: declarative JSON scenario specs and the named
 //     registry (default-covid, no-pandemic, early-lockdown, …) behind
 //     every -scenario flag; lossless round trips to pandemic.Scenario
@@ -36,8 +37,10 @@
 //   - cmd/mnostream: stream a feed directory — or the simulator inline,
 //     under any -scenario — through the engine and emit rolling daily
 //     KPI/mobility summaries (-workers / -shards).
-//   - cmd/mnosweep: run a scenario set over one shared world — serially
-//     or with -parallel N concurrent runs (bit-identical output) — and
+//   - cmd/mnosweep: run a scenario set over one shared world, each run
+//     on the serial study loop and forked from a shared-prefix
+//     checkpoint at its divergence day (-share-prefix, bit-identical
+//     output) — serially or with -parallel N concurrent runs — and
 //     print the headline comparison table plus, with -baseline NAME,
 //     the per-series delta table against that run (-list shows the
 //     registry).

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -65,15 +66,17 @@ func TestStreamingInstrumentedBitIdentical(t *testing.T) {
 // scheduler mode: every scenario run is counted once, every scheduled
 // day loop (riders ride inside their host's) is timed and queue-stamped
 // once, the world-builds gauge records the shared-dataset guarantee
-// (builds do not scale with runs), and both per-run bodies report the
-// traffic engine's day latency.
+// (builds do not scale with runs), the traffic engine's day latency is
+// reported, and every mode writes the same metric catalog.
 func TestSweepParallelInstrumented(t *testing.T) {
 	cfg := streamingTestConfig()
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic, scenario.VoiceSurge)
 	w := NewWorld(cfg)
 
+	catalogs := map[string][]string{}
 	for _, opt := range sweepModes(1, 2) {
-		t.Run(fmt.Sprintf("parallel=%d/share=%t", opt.Parallel, opt.SharePrefix), func(t *testing.T) {
+		mode := fmt.Sprintf("parallel=%d/share=%t", opt.Parallel, opt.SharePrefix)
+		t.Run(mode, func(t *testing.T) {
 			loops := int64(len(scens))
 			if opt.SharePrefix {
 				plan := planPrefix(scens)
@@ -91,6 +94,7 @@ func TestSweepParallelInstrumented(t *testing.T) {
 			}
 
 			s := reg.Snapshot()
+			catalogs[mode] = metricKeys(s)
 			if got := s.Counters["sweep.runs"]; got != int64(len(scens)) {
 				t.Errorf("sweep.runs = %d, want %d", got, len(scens))
 			}
@@ -111,4 +115,32 @@ func TestSweepParallelInstrumented(t *testing.T) {
 			}
 		})
 	}
+
+	var first string
+	for _, opt := range sweepModes(1, 2) {
+		mode := fmt.Sprintf("parallel=%d/share=%t", opt.Parallel, opt.SharePrefix)
+		if first == "" {
+			first = mode
+			continue
+		}
+		if !slices.Equal(catalogs[mode], catalogs[first]) {
+			t.Errorf("metric catalog differs between sweep modes\n%s: %v\n%s: %v", first, catalogs[first], mode, catalogs[mode])
+		}
+	}
+}
+
+// metricKeys lists every metric name in a snapshot, sorted.
+func metricKeys(s obs.Snapshot) []string {
+	var keys []string
+	for k := range s.Counters {
+		keys = append(keys, k)
+	}
+	for k := range s.Gauges {
+		keys = append(keys, k)
+	}
+	for k := range s.Histograms {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

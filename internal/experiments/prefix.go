@@ -147,11 +147,9 @@ func sharedPrefixDays(a, b *pandemic.Scenario) int {
 
 // captureCheckpoint forks the run's live folds into a checkpoint at
 // study day sd (days [0, sd) consumed).
-func captureCheckpoint(d *Dataset, r *Results, sd int) *Checkpoint {
+func captureCheckpoint(r *Results, sd int) *Checkpoint {
 	ck := &Checkpoint{
 		Day:      timegrid.StudyDay(sd),
-		Seed:     d.Config.Seed,
-		Users:    d.Config.TargetUsers,
 		Mobility: r.Mobility.Fork(),
 		Matrix:   r.Matrix.Fork(),
 	}
@@ -216,8 +214,8 @@ func (p *enginePool) release(d *Dataset) {
 	d.Engine = nil
 }
 
-// runPrefixScenario is the shared-prefix sweep body: one sweep entry on
-// the serial study loop (runStudy, as RunStandardOn runs it —
+// runPrefixScenario is the sweep body: one sweep entry on the serial
+// study loop (runStudy, as RunStandardOn runs it —
 // bit-identical to the streaming engine at any worker and shard count),
 // optionally resuming from a forked checkpoint, capturing checkpoints
 // at the requested day boundaries for this run's non-rider children,
@@ -237,9 +235,10 @@ func (p *enginePool) release(d *Dataset) {
 // parent fallback (a panic mid-loop therefore fails the host run but
 // only costs its riders the sharing, not their results).
 //
-// Failure modes otherwise match runScenario: cancelled ctx, injected
-// fault.SweepRun faults, and panics anywhere in the stack all land in
-// run.Err without touching the other runs.
+// Every failure mode — a cancelled ctx, an injected fault.SweepRun
+// fault, a panic anywhere in the stack — lands in run.Err without
+// touching the other runs, so one poisoned scenario cannot take down
+// its sweep.
 func runPrefixScenario(ctx context.Context, w *World, cfg Config, scfg stream.Config, sc SweepScenario, idx int, homes homesMap, start *Checkpoint, snapAt map[int]bool, riders []riderSpec, pool *enginePool) (run SweepRun, riderRuns []riderRun, snaps map[int]*Checkpoint) {
 	run.Name = sc.Name
 	defer func() {
@@ -282,7 +281,7 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, scfg stream.Co
 			if snaps == nil {
 				snaps = make(map[int]*Checkpoint, len(snapAt))
 			}
-			snaps[sd] = captureCheckpoint(d, r, sd)
+			snaps[sd] = captureCheckpoint(r, sd)
 		}
 		for k := range rs {
 			rd := &rs[k]

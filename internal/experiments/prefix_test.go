@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"testing"
 
@@ -34,16 +32,16 @@ func registrySweep(t *testing.T) []SweepScenario {
 
 // TestSharedPrefixSweepMatchesUnshared is the copy-on-divergence
 // correctness gate: the SharePrefix executor — serial and parallel —
-// must reproduce the unshared serial sweep bit for bit over the whole
-// registry (JSON float64 encoding is shortest-round-trip, so any drift
-// in any headline fails), while actually forking: the expected fork
-// tree and the sweep.prefix_days_saved / sweep.checkpoint_forks
-// counters are pinned.
+// must reproduce an unshared standalone RunStandardOn per scenario bit
+// for bit over the whole registry (JSON float64 encoding is
+// shortest-round-trip, so any drift in any headline fails), while
+// actually forking: the expected fork tree and the
+// sweep.prefix_days_saved / sweep.checkpoint_forks counters are pinned.
 func TestSharedPrefixSweepMatchesUnshared(t *testing.T) {
 	cfg := goldenConfig()
 	scens := registrySweep(t)
 	w := NewWorld(cfg)
-	ref := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens, SweepOptions{})
+	ref := standaloneRuns(w, cfg, scens)
 
 	// The expected fork tree over the registry order: each scenario's
 	// parent and the study days it skips (pandemic.Scenario.DivergenceFrom
@@ -114,76 +112,19 @@ func runFromCheckpoint(t *testing.T, w *World, cfg Config, sc SweepScenario, sta
 	return run, snaps
 }
 
-// TestCheckpointRoundTrip serializes a mid-run checkpoint through JSON
-// and through gob, restores each against the live world, resumes, and
-// requires the resumed headlines to be bit-identical to the
-// uninterrupted run's.
-func TestCheckpointRoundTrip(t *testing.T) {
-	cfg := checkpointConfig()
-	w := NewWorld(cfg)
-	sc := *loadScenario(t, scenario.DefaultCovid)
-
-	full, snaps := runFromCheckpoint(t, w, cfg, sc, nil, map[int]bool{30: true})
-	want := headlinesJSON(t, full.Headlines)
-	ck := snaps[30]
-	if ck == nil {
-		t.Fatal("no checkpoint captured at day 30")
-	}
-
-	restore := func(t *testing.T, st CheckpointState) {
-		t.Helper()
-		rck, err := RestoreCheckpoint(w, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed, _ := runFromCheckpoint(t, w, cfg, sc, rck, nil)
-		if got := headlinesJSON(t, resumed.Headlines); got != want {
-			t.Errorf("resumed headlines diverge from uninterrupted run\n got: %s\nwant: %s", got, want)
-		}
-	}
-
-	t.Run("json", func(t *testing.T) {
-		data, err := json.Marshal(ck.State())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st CheckpointState
-		if err := json.Unmarshal(data, &st); err != nil {
-			t.Fatal(err)
-		}
-		restore(t, st)
-	})
-
-	t.Run("gob", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(ck.State()); err != nil {
-			t.Fatal(err)
-		}
-		var st CheckpointState
-		if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		restore(t, st)
-	})
-
-	t.Run("rejects-mismatched-world", func(t *testing.T) {
-		st := ck.State()
-		st.Seed++
-		if _, err := RestoreCheckpoint(w, st); err == nil {
-			t.Error("RestoreCheckpoint accepted a checkpoint from a different seed")
-		}
-		st = ck.State()
-		st.V++
-		if _, err := RestoreCheckpoint(w, st); err == nil {
-			t.Error("RestoreCheckpoint accepted an unknown version")
-		}
-	})
+// checkpointResults wraps a checkpoint's folds as a Results, so
+// assertResultsEqual can compare two checkpoints aggregate by aggregate.
+func checkpointResults(w *World, ck *Checkpoint) *Results {
+	return &Results{Dataset: &Dataset{Model: w.Model}, Homes: w.Homes(),
+		Mobility: ck.Mobility, Matrix: ck.Matrix, KPI: ck.KPI}
 }
 
 // TestCheckpointForkNoAliasing advances a fork to the end of the study
 // window — under a different scenario — and requires the original
-// checkpoint to be untouched (snapshot-identical) and still usable:
-// resuming it must still reproduce the uninterrupted run.
+// checkpoint to be untouched and still usable. "Untouched" is judged
+// against the same day's checkpoint from a second, independent run of
+// the base scenario, which shares no state with any Fork; resuming the
+// original must still reproduce the uninterrupted run.
 func TestCheckpointForkNoAliasing(t *testing.T) {
 	cfg := checkpointConfig()
 	w := NewWorld(cfg)
@@ -192,20 +133,14 @@ func TestCheckpointForkNoAliasing(t *testing.T) {
 
 	full, snaps := runFromCheckpoint(t, w, cfg, base, nil, map[int]bool{20: true})
 	ck := snaps[20]
-	before, err := json.Marshal(ck.State())
-	if err != nil {
-		t.Fatal(err)
+	_, refSnaps := runFromCheckpoint(t, w, cfg, base, nil, map[int]bool{20: true})
+	if ck == nil || refSnaps[20] == nil {
+		t.Fatal("no checkpoint captured at day 20")
 	}
 
 	forked, _ := runFromCheckpoint(t, w, cfg, other, ck.Fork(), nil)
 
-	after, err := json.Marshal(ck.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("advancing a fork mutated the original checkpoint")
-	}
+	assertResultsEqual(t, checkpointResults(w, refSnaps[20]), checkpointResults(w, ck))
 	if got, want := headlinesJSON(t, forked.Headlines), headlinesJSON(t, full.Headlines); got == want {
 		t.Error("fork advanced under a different scenario reproduced the base scenario exactly; fork is not independent")
 	}

@@ -44,37 +44,18 @@ func RunStreamingOn(ctx context.Context, d *Dataset, scfg stream.Config) (*Resul
 	if err := eng.Run(ctx, febSrc); err != nil {
 		return nil, err
 	}
-	return runStreamingStudy(ctx, d, scfg, homes.Detect(), nil)
-}
-
-// runStreamingStudy is the study-window pass over prebuilt February
-// homes. The sweep's unshared body calls it directly with the World's
-// shared homes — February traces are scenario-invariant, so
-// re-detecting per scenario would only repeat identical work.
-//
-// A non-nil sweep worker supplies reusable state: the sharded
-// mobility/matrix stages are reset instead of re-allocated (keeping
-// their per-shard mergers and day buffers warm) and day production
-// recycles through the worker's shared BufferPool, so consecutive
-// scenario runs on one worker stay at the zero-alloc steady state. All
-// reused state is scratch — nothing in it influences the computed
-// aggregates — so results are bit-identical to the unpooled path. A
-// failed run leaves the worker's state partially consumed; the sweep
-// discards the worker after any error.
-func runStreamingStudy(ctx context.Context, d *Dataset, scfg stream.Config, homes homesMap, ws *sweepWorker) (*Results, error) {
-	scfg = scfg.WithDefaults()
-	r := newResults(d, homes)
+	r := newResults(d, homes.Detect())
 
 	// Pass 2: the study window, with sharded mobility/matrix stages and
 	// the exact KPI analyzer in the merge stage.
 	study := stream.NewEngine(scfg)
-	study.AddTraceSharder(ws.mobility(r.Mobility, scfg.Shards))
-	study.AddTraceSharder(ws.matrix(r.Matrix, scfg.Shards))
+	study.AddTraceSharder(stream.NewMobility(r.Mobility, scfg.Shards))
+	study.AddTraceSharder(stream.NewMatrix(r.Matrix, scfg.Shards))
 	if r.KPI != nil {
 		study.AddKPIConsumer(r.KPI)
 	}
-	studySrc := stream.NewSimSourcePooled(ctx, d.Sim, d.Engine,
-		timegrid.SimDay(timegrid.StudyDayOffset), timegrid.SimDays, scfg, ws.bufferPool())
+	studySrc := stream.NewSimSource(ctx, d.Sim, d.Engine,
+		timegrid.SimDay(timegrid.StudyDayOffset), timegrid.SimDays, scfg)
 	if err := study.Run(ctx, studySrc); err != nil {
 		return nil, err
 	}

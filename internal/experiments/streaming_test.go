@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/stream"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
@@ -24,24 +25,36 @@ func streamingTestConfig() Config {
 
 // TestStreamingMatchesSerial asserts the tentpole invariant: the sharded
 // streaming pipeline is bit-identical to the serial pipeline at the same
-// seed, for 1, 2 and 8 workers. Run under -race this also exercises the
+// seed, for 1, 2 and 8 workers and a non-default shard count. Each row
+// runs a different scenario stack instantiated on one shared World, so
+// the parity also holds across scenarios (lockdown, no pandemic, a
+// second wave, a voice surge). Run under -race this also exercises the
 // engine's synchronization.
 func TestStreamingMatchesSerial(t *testing.T) {
 	cfg := streamingTestConfig()
-	serial := RunStandard(cfg)
+	w := NewWorld(cfg)
 	for _, tc := range []struct {
-		name    string
-		workers int
-		shards  int
+		name     string
+		scenario string
+		workers  int
+		shards   int
 	}{
-		{"workers=1", 1, 0},
-		{"workers=2", 2, 0},
-		{"workers=8", 8, 0},
-		{"workers=4/shards=3", 4, 3},
+		{"workers=1", scenario.DefaultCovid, 1, 0},
+		{"workers=2", scenario.NoPandemic, 2, 0},
+		{"workers=8", scenario.SecondWave, 8, 0},
+		{"workers=4/shards=3", scenario.VoiceSurge, 4, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := mustStreamingConfig(t, cfg, stream.Config{Workers: tc.workers, Shards: tc.shards})
-			assertResultsEqual(t, serial, got)
+			t.Run(tc.scenario, func(t *testing.T) {
+				c := cfg
+				c.Scenario = loadScenario(t, tc.scenario).Scenario
+				serial := RunStandardOn(w.Instantiate(c))
+				got, err := RunStreamingOn(context.Background(), w.Instantiate(c), stream.Config{Workers: tc.workers, Shards: tc.shards})
+				if err != nil {
+					t.Fatalf("RunStreamingOn: %v", err)
+				}
+				assertResultsEqual(t, serial, got)
+			})
 		})
 	}
 }

@@ -61,14 +61,13 @@ type SweepOptions struct {
 	// index in scens. cmd/mnosweep journals completed runs through this
 	// hook so an interrupted sweep can resume.
 	OnRun func(i int, run SweepRun)
-	// SharePrefix switches the per-run body to copy-on-divergence:
-	// scenarios are grouped by divergence day
-	// (pandemic.Scenario.DivergenceFrom), each shared prefix is
-	// simulated once on the checkpointable serial day loop,
-	// checkpointed at the fork day and forked per scenario. Results are
-	// bit-identical to the unshared (streaming) body; runs gain
-	// ForkedFrom/PrefixDays provenance. Multi-scenario sweeps only — a
-	// single scenario has no prefix to share.
+	// SharePrefix plans the sweep copy-on-divergence: scenarios are
+	// grouped by divergence day (pandemic.Scenario.DivergenceFrom), each
+	// shared prefix is simulated once, checkpointed at the fork day and
+	// forked per scenario. Without it every scenario runs from day 0.
+	// Both plans run the same serial study loop, so results are
+	// bit-identical either way; forked runs gain ForkedFrom/PrefixDays
+	// provenance.
 	SharePrefix bool
 }
 
@@ -80,7 +79,7 @@ type sweepMetrics struct {
 	queueNs *obs.Histogram // sweep.queue_wait_ns: how long each scheduled day loop queued behind the workers
 	builds  *obs.Gauge     // sweep.world_builds: process-wide World builds (should stay at 1 per sweep)
 
-	// Copy-on-divergence counters (SharePrefix sweeps only).
+	// Copy-on-divergence counters (zero without SharePrefix).
 	prefixSaved *obs.Counter // sweep.prefix_days_saved: study days skipped by forking checkpoints
 	forks       *obs.Counter // sweep.checkpoint_forks: runs started from a forked checkpoint
 }
@@ -111,27 +110,26 @@ func newSweepMetrics(r *obs.Registry, parallel int) *sweepMetrics {
 // draws: every agent keeps its home, anchors, device and relocation
 // candidacy across runs, and only the behavioural response differs.
 //
+// scfg contributes only its metrics registry and fault injector: every
+// run executes on the checkpointable serial study loop
+// (runPrefixScenario), so the engine sizing fields are unused and a
+// sweep's cores come from opt.Parallel.
+//
 // Scheduling: max(1, min(opt.Parallel, len(scens))) workers pull runs
 // from a ready queue over the sweep's fork tree. Without SharePrefix
-// every scenario is a root, ready at once, and runs the streaming study
-// (runStreamingStudy, sized by scfg). With SharePrefix a scenario
-// becomes ready when its parent has completed and runs the
-// checkpointable serial loop (runPrefixScenario); trace-equal leaves
-// ride inside their host's loop instead of being scheduled. Every run is
+// every scenario is a root, ready at once, and runs from day 0. With
+// SharePrefix a scenario becomes ready when its parent has completed
+// and resumes from the parent's checkpoint; trace-equal leaves ride
+// inside their host's loop instead of being scheduled. Every run is
 // deterministic in (world, scenario, start checkpoint), so the output —
-// re-sequenced to the input order — is bit-identical for either body at
-// any worker count (TestParallelSweepMatchesSerial,
-// TestSharedPrefixSweepMatchesUnshared, under -race). Note the
-// goroutine budget multiplies: each concurrent unshared run drives its
-// own streaming engine with scfg.Workers workers, so sweeps that set
-// Parallel > 1 usually want scfg.Workers = 1 (PERFORMANCE.md, "Parallel
-// sweeps").
+// re-sequenced to the input order — is bit-identical to a standalone
+// RunStandardOn per scenario under either plan at any worker count
+// (TestParallelSweepMatchesSerial, TestSharedPrefixSweepMatchesUnshared,
+// under -race).
 //
-// Warm state is recycled, never shared: traffic engines come from one
-// sweep-wide pool (Engine.Rebind is bit-identical to a fresh engine),
-// and each worker threads a sweepWorker — day-buffer pool and resettable
-// sharded stages — through its consecutive unshared runs. As a result
-// the returned Results carry no live traffic engine
+// Warm traffic engines are recycled, never shared: they come from one
+// sweep-wide pool (Engine.Rebind is bit-identical to a fresh engine).
+// As a result the returned Results carry no live traffic engine
 // (Results.Dataset.Engine is nil); callers that want to replay KPI
 // generation for one run should Instantiate a fresh stack for it.
 //
@@ -147,11 +145,9 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 	if len(scens) == 0 {
 		return out, nil
 	}
-	scfg = scfg.WithDefaults()
 	homes := w.Homes()
-	shared := opt.SharePrefix && len(scens) > 1
 	plan := rootPlan(len(scens))
-	if shared {
+	if opt.SharePrefix {
 		plan = planPrefix(scens)
 	}
 	store := newCkStore(&plan)
@@ -204,10 +200,11 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 		}
 	}
 
-	// runShared runs host i on the checkpointable loop with its riders
-	// inline. A failed host reports no rider outcomes; its riders then
-	// fall back to standalone day-0 runs, exactly as the children of a
-	// failed checkpoint parent do.
+	// runShared runs scheduled index i on the checkpointable loop, from
+	// its planned start checkpoint (day 0 for a root) and with its
+	// riders inline. A failed host reports no rider outcomes; its riders
+	// then fall back to standalone day-0 runs, exactly as the children
+	// of a failed checkpoint parent do.
 	runShared := func(i int) {
 		start := store.take(i)
 		prefixDays := 0
@@ -241,28 +238,13 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 			if m != nil {
 				runSh = m.runNs.Shard(p)
 			}
-			var ws *sweepWorker // the unshared body's warm scratch
 			for i := range ready {
 				var t0 time.Time
 				if m != nil {
 					t0 = time.Now()
 					m.queueNs.Observe(int64(t0.Sub(fanOut)))
 				}
-				if shared {
-					runShared(i)
-				} else {
-					if ws == nil {
-						ws = newSweepWorker(scfg)
-					}
-					run := runScenario(ctx, w, cfg, scfg, scens[i], i, homes, ws, pool)
-					if run.Err != nil {
-						// The aborted run may have left the worker's
-						// buffers or mergers partially consumed; never
-						// thread them into the next scenario.
-						ws = nil
-					}
-					settle(i, run, 0, nil)
-				}
+				runShared(i)
 				if m != nil {
 					runSh.Observe(int64(time.Since(t0)))
 				}
@@ -284,96 +266,6 @@ func runGate(ctx context.Context, scfg stream.Config, idx int) error {
 		return err
 	}
 	return scfg.Fault.Fire(fault.SweepRun, int64(idx))
-}
-
-// runScenario is the unshared sweep body: one scenario through the
-// streaming study, converting every failure mode — a cancelled ctx, an
-// injected fault.SweepRun error, a panic anywhere in the scenario stack
-// — into run.Err, so one poisoned scenario cannot take down its sweep.
-func runScenario(ctx context.Context, w *World, cfg Config, scfg stream.Config, sc SweepScenario, idx int, homes homesMap, ws *sweepWorker, pool *enginePool) (run SweepRun) {
-	run.Name = sc.Name
-	defer func() {
-		if v := recover(); v != nil {
-			run.Results, run.Headlines = nil, nil
-			run.Err = stream.NewWorkerPanic("sweep", -1, -1, v)
-		}
-	}()
-	if run.Err = runGate(ctx, scfg, idx); run.Err != nil {
-		return
-	}
-	c := cfg
-	c.Scenario = sc.Scenario
-	d := w.instantiate(c, pool.get())
-	r, err := runStreamingStudy(ctx, d, scfg, homes, ws)
-	if err != nil {
-		run.Err = err
-		return
-	}
-	pool.release(d)
-	run.Results, run.Headlines = r, Headlines(r)
-	return
-}
-
-// sweepWorker is the reusable per-worker state of the unshared sweep
-// body: a shared day-buffer recycle pool and the resettable sharded
-// consumer wrappers. Everything in it is scratch — reused allocations
-// whose contents are rebuilt every run — so carrying it across scenario
-// runs changes nothing about the results, only the allocation profile:
-// after a worker's first scenario, later scenarios run on warm buffers
-// and mergers.
-//
-// A nil *sweepWorker is valid and means "no reuse": every accessor then
-// falls back to fresh construction, which is how RunStreamingOn uses
-// runStreamingStudy. A worker whose run failed must be discarded — its
-// reused state may be partially consumed by the aborted run.
-type sweepWorker struct {
-	pool *stream.BufferPool
-	mob  *stream.Mobility
-	mat  *stream.Matrix
-}
-
-// newSweepWorker sizes the worker's buffer pool to one run's in-flight
-// window so the steady state never falls back to allocation. The pool is
-// instrumented here (not by the sources that later share it): after the
-// first scenario warms it, every later draw should be a stream.pool hit.
-func newSweepWorker(scfg stream.Config) *sweepWorker {
-	scfg = scfg.WithDefaults()
-	return &sweepWorker{pool: stream.NewBufferPool(scfg.Workers + scfg.Buffer).Instrument(scfg.Metrics)}
-}
-
-// bufferPool returns the worker's shared pool, or nil (private pool per
-// source) without a worker.
-func (ws *sweepWorker) bufferPool() *stream.BufferPool {
-	if ws == nil {
-		return nil
-	}
-	return ws.pool
-}
-
-// mobility returns a sharded mobility stage bound to a, reusing the
-// worker's wrapper when it has one.
-func (ws *sweepWorker) mobility(a *core.MobilityAnalyzer, shards int) *stream.Mobility {
-	if ws == nil {
-		return stream.NewMobility(a, shards)
-	}
-	if ws.mob == nil {
-		ws.mob = stream.NewMobility(a, shards)
-		return ws.mob
-	}
-	return ws.mob.Reset(a)
-}
-
-// matrix returns a sharded matrix stage bound to m, reusing the
-// worker's wrapper when it has one.
-func (ws *sweepWorker) matrix(m *core.MobilityMatrix, shards int) *stream.Matrix {
-	if ws == nil {
-		return stream.NewMatrix(m, shards)
-	}
-	if ws.mat == nil {
-		ws.mat = stream.NewMatrix(m, shards)
-		return ws.mat
-	}
-	return ws.mat.Reset(m)
 }
 
 // sweepErr joins the failures of a sweep into one error (nil when every

@@ -19,6 +19,21 @@ func sweepScenarios(t *testing.T, names ...string) []SweepScenario {
 	return out
 }
 
+// standaloneRuns is the sweep parity reference: every scenario run on
+// its own instantiated stack by RunStandardOn, with its own February
+// pass and no sweep machinery (no scheduler, engine pool, checkpoint or
+// rider).
+func standaloneRuns(w *World, cfg Config, scens []SweepScenario) []SweepRun {
+	runs := make([]SweepRun, len(scens))
+	for i, sc := range scens {
+		c := cfg
+		c.Scenario = sc.Scenario
+		r := RunStandardOn(w.Instantiate(c))
+		runs[i] = SweepRun{Name: sc.Name, Results: r, Headlines: Headlines(r)}
+	}
+	return runs
+}
+
 // assertSweepRunsEqual compares two sweeps bit for bit: run order,
 // headline statistics, and every externally observable aggregate of
 // every run.
@@ -39,7 +54,8 @@ func assertSweepRunsEqual(t *testing.T, want, got []SweepRun) {
 }
 
 // sweepModes is the parity grid of the sweep scheduler: every worker
-// count under both per-run bodies.
+// count under both fork plans (every scenario from day 0, and
+// copy-on-divergence).
 func sweepModes(parallel ...int) []SweepOptions {
 	var modes []SweepOptions
 	for _, share := range []bool{false, true} {
@@ -51,11 +67,11 @@ func sweepModes(parallel ...int) []SweepOptions {
 }
 
 // TestParallelSweepMatchesSerial asserts the scheduler invariant: at
-// worker counts 1, 2, 4 and 8, under both the streaming (unshared) and
-// the copy-on-divergence (shared) body, the sweep is bit-identical to
-// the Parallel 1 unshared reference, re-sequenced to the input order,
-// while building zero additional Worlds (counter-verified). Run under
-// -race this also exercises the cross-worker synchronization (the
+// worker counts 1, 2, 4 and 8, under both the unshared (day-0) and the
+// copy-on-divergence (shared) plan, the sweep is bit-identical to a
+// standalone RunStandardOn per scenario, re-sequenced to the input
+// order, while building zero additional Worlds (counter-verified). Run
+// under -race this also exercises the cross-worker synchronization (the
 // shared immutable World, the shared homes map, the engine pool, the
 // checkpoint store).
 func TestParallelSweepMatchesSerial(t *testing.T) {
@@ -65,7 +81,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		scenario.SecondWave, scenario.VoiceSurge)
 	w := NewWorld(cfg)
 	scfg := stream.Config{Workers: 1}
-	ref := mustSweep(t, w, cfg, scfg, scens, SweepOptions{Parallel: 1})
+	ref := standaloneRuns(w, cfg, scens)
 
 	before := WorldBuildCount()
 	for _, opt := range sweepModes(1, 2, 4, 8) {
@@ -81,13 +97,14 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 // TestParallelSweepMatchesSerialKPI covers the engine-reuse path: with
 // KPI enabled and more scenarios than workers, runs draw rebound traffic
 // engines from the sweep's pool (Engine.Rebind), and the KPI series must
-// still be bit-identical to the reference sweep's, under both bodies.
+// still be bit-identical to standalone RunStandardOn runs, under both
+// plans.
 func TestParallelSweepMatchesSerialKPI(t *testing.T) {
 	cfg := streamingTestConfig() // KPI enabled, sparser topology
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic, scenario.VoiceSurge)
 	w := NewWorld(cfg)
 	scfg := stream.Config{Workers: 1}
-	ref := mustSweep(t, w, cfg, scfg, scens, SweepOptions{Parallel: 1})
+	ref := standaloneRuns(w, cfg, scens)
 	for i := range ref {
 		if ref[i].Results.KPI == nil {
 			t.Fatalf("run %s has no KPI analyzer", ref[i].Name)

@@ -33,8 +33,8 @@
 //
 // Engines and sources are one-run objects, but cheap ones: everything
 // expensive (the census, topology and population behind a SimSource's
-// simulator) lives in the scenario-independent experiments.World, so a
-// scenario sweep (experiments.RunSweepParallelOpts, cmd/mnosweep) runs one engine +
-// source pair per scenario over the same shared world, each run
-// recycling its own day buffers through DayBatch.Release.
+// simulator) lives in the scenario-independent experiments.World, so
+// experiments.RunStreamingOn runs one engine + source pair per scenario
+// stack instantiated on a shared world, each run recycling its own day
+// buffers through DayBatch.Release.
 package stream

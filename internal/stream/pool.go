@@ -9,13 +9,9 @@ import (
 )
 
 // BufferPool is a bounded, non-blocking free list of day-production
-// backing stores (a mobsim.DayBuffer plus a reusable CellDay slice) —
-// the PR 2 recycling machinery lifted out of SimSource so it can be
-// shared across sources. A pool owned by one sweep worker and passed to
-// every SimSource that worker creates keeps the steady state of a
-// multi-scenario sweep at zero day-buffer allocations per scenario:
-// the buffers warmed by the first scenario are reused by every later
-// one.
+// backing stores (a mobsim.DayBuffer plus a reusable CellDay slice).
+// Every SimSource owns a private pool sized to its in-flight window, so
+// a released batch's buffers are reused by a later day of the same run.
 //
 // Draws never block: when every pooled store is checked out (or
 // consumers never release), Get allocates a fresh store, so liveness
@@ -96,9 +92,8 @@ func (r *dayStore) Recycle(gen uint64) {
 }
 
 // NewBufferPool builds a pool that retains at most capacity idle
-// stores. Sources size their private pools to their in-flight window
-// (workers + buffer); a shared pool should be at least that large to
-// stay allocation-free at the steady state.
+// stores. Sources size their pools to their in-flight window
+// (workers + buffer), which keeps the steady state allocation-free.
 func NewBufferPool(capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
