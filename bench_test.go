@@ -189,12 +189,36 @@ func BenchmarkSignalingDay(b *testing.B) {
 	r := benchResults(b)
 	gen := signaling.NewGenerator(r.Dataset.Pop, 1)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 30)
+	b.ReportAllocs()
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
 		gen.Day(day, benchDay, func(*signaling.Event) { n++ })
 	}
 	if n == 0 {
+		b.Fatal("no events")
+	}
+}
+
+// BenchmarkSignalingShardDay measures the mnostream signaling stage on
+// one shard: every native user-day plus the M2M/roamer background is
+// generated and folded into the shard's aggregator (one event per
+// Consume call, no map or per-event allocation).
+func BenchmarkSignalingShardDay(b *testing.B) {
+	r := benchResults(b)
+	sig := stream.NewSignaling(signaling.NewGenerator(r.Dataset.Pop, 1), r.Dataset.Topology, 1, true)
+	day := timegrid.SimDay(timegrid.StudyDayOffset + 30)
+	idx := make([]int, len(benchDay))
+	for i := range idx {
+		idx[i] = i
+	}
+	sig.ShardDay(0, day, benchDay, idx) // warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sig.ShardDay(0, day, benchDay, idx)
+	}
+	if events, _ := sig.Totals(); events == 0 {
 		b.Fatal("no events")
 	}
 }

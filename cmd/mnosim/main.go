@@ -345,7 +345,7 @@ func writeSignaling(out string, r *experiments.Results) error {
 	// One representative day per week keeps the export light.
 	for _, wk := range timegrid.Weeks() {
 		day := wk.Days()[2] // Wednesday
-		agg := signaling.NewAggregator(r.Dataset.Topology)
+		agg := signaling.NewAggregator(r.Dataset.Topology, len(r.Dataset.Pop.Users))
 		gen.Day(day.ToSimDay(), r.Dataset.Sim.Day(day.ToSimDay()), agg.Consume)
 		date := timegrid.DateOfStudyDay(day).Format("2006-01-02")
 		for et := signaling.EventType(0); int(et) < signaling.NumEventTypes; et++ {

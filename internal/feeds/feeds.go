@@ -202,10 +202,10 @@ func (t *TraceReader) ReadDayInto(buf *mobsim.DayBuffer) (timegrid.SimDay, error
 		}
 		if err != nil {
 			if t.opt.Lenient && isRowError(err) {
-				t.skip(csvErrLine(err, t.line()), err)
+				t.skip(csvErrLine(err, t.line), err)
 				continue
 			}
-			return 0, fmt.Errorf("feeds: %s:%d: %w", t.opt.label("trace feed"), csvErrLine(err, t.line()), err)
+			return 0, fmt.Errorf("feeds: %s:%d: %w", t.opt.label("trace feed"), csvErrLine(err, t.line), err)
 		}
 		d, v, user, perr := parseTraceRow(rec)
 		if perr != nil {
@@ -242,13 +242,15 @@ func (t *TraceReader) next() ([]string, error) {
 }
 
 // csvErrLine extracts the line number carried by a csv.ParseError, or
-// falls back to the reader's current position.
-func csvErrLine(err error, fallback int) int {
+// falls back to the reader's current position. The fallback is called
+// only for errors without a line: csv.Reader.FieldPos panics after a
+// ParseError that left no field read.
+func csvErrLine(err error, fallback func() int) int {
 	var pe *csv.ParseError
 	if errors.As(err, &pe) && pe.Line > 0 {
 		return pe.Line
 	}
-	return fallback
+	return fallback()
 }
 
 // parseTraceRow decodes one CSV row of the trace feed; its errors name
@@ -418,10 +420,10 @@ func (k *KPIReader) ReadDayAppend(dst []traffic.CellDay) (timegrid.SimDay, []tra
 		}
 		if err != nil {
 			if k.opt.Lenient && isRowError(err) {
-				k.skip(csvErrLine(err, k.line()), err)
+				k.skip(csvErrLine(err, k.line), err)
 				continue
 			}
-			return 0, nil, fmt.Errorf("feeds: %s:%d: %w", k.opt.label("KPI feed"), csvErrLine(err, k.line()), err)
+			return 0, nil, fmt.Errorf("feeds: %s:%d: %w", k.opt.label("KPI feed"), csvErrLine(err, k.line), err)
 		}
 		d, cd, perr := parseKPIRow(rec)
 		if perr != nil {
@@ -554,10 +556,10 @@ func NewEventReaderOpts(r io.Reader, opt Options) (*EventReader, error) {
 	cr.FieldsPerRecord = len(eventHeader)
 	hdr, err := cr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("feeds: reading event header of %s: %w", opt.label("event feed"), err)
+		return nil, fmt.Errorf("feeds: %s:%d: reading header: %w", opt.label("event feed"), csvErrLine(err, func() int { return 1 }), err)
 	}
 	if !equalRow(hdr, eventHeader) {
-		return nil, ErrBadHeader
+		return nil, fmt.Errorf("feeds: %s:1: %w", opt.label("event feed"), ErrBadHeader)
 	}
 	return &EventReader{r: cr, opt: opt}, nil
 }
@@ -587,10 +589,10 @@ func (e *EventReader) Read() (signaling.Event, error) {
 		}
 		if err != nil {
 			if e.opt.Lenient && isRowError(err) {
-				e.skip(csvErrLine(err, e.line()), err)
+				e.skip(csvErrLine(err, e.line), err)
 				continue
 			}
-			return signaling.Event{}, fmt.Errorf("feeds: %s:%d: %w", e.opt.label("event feed"), csvErrLine(err, e.line()), err)
+			return signaling.Event{}, fmt.Errorf("feeds: %s:%d: %w", e.opt.label("event feed"), csvErrLine(err, e.line), err)
 		}
 		ev, perr := parseEventRow(rec)
 		if perr != nil {
@@ -604,23 +606,44 @@ func (e *EventReader) Read() (signaling.Event, error) {
 	}
 }
 
+// eventFieldRange bounds each integer column of the event feed to the
+// values its Event field holds, so an accepted row never truncates:
+// decoding and re-encoding it reproduces its fields byte for byte.
+var eventFieldRange = [10][2]int64{
+	{math.MinInt, math.MaxInt},              // day
+	{math.MinInt32, math.MaxInt32},          // sec
+	{0, math.MaxUint32},                     // user
+	{0, int64(signaling.NumEventTypes) - 1}, // type
+	{0, math.MaxInt32},                      // tower
+	{0, math.MaxUint8},                      // sector
+	{0, int64(radio.NumRATs) - 1},           // rat
+	{0, math.MaxUint32},                     // tac
+	{0, math.MaxUint16},                     // mcc
+	{0, math.MaxUint16},                     // mnc
+}
+
 // parseEventRow decodes one CSV row of the event feed; its errors name
-// the offending column and value.
+// the offending column and value. Integers must be in canonical decimal
+// form (no sign on positives, no leading zeros) and within their
+// field's range.
 func parseEventRow(rec []string) (signaling.Event, error) {
-	ints := make([]int64, 10)
-	for i := 0; i < 10; i++ {
+	var ints [10]int64
+	for i := range ints {
 		v, err := strconv.ParseInt(rec[i], 10, 64)
 		if err != nil {
 			return signaling.Event{}, badField("event", eventHeader[i], rec[i], err)
+		}
+		if !canonicalInt(rec[i]) {
+			return signaling.Event{}, badField("event", eventHeader[i], rec[i], errors.New("not in canonical form"))
+		}
+		if r := eventFieldRange[i]; v < r[0] || v > r[1] {
+			return signaling.Event{}, fmt.Errorf("bad event field %s=%q: out of range [%d,%d]", eventHeader[i], rec[i], r[0], r[1])
 		}
 		ints[i] = v
 	}
 	ok, err := parseBool(rec[10])
 	if err != nil {
 		return signaling.Event{}, badField("event", "ok", rec[10], err)
-	}
-	if t := ints[3]; t < 0 || t >= int64(signaling.NumEventTypes) {
-		return signaling.Event{}, fmt.Errorf("bad event field type=%q: out of range [0,%d)", rec[3], signaling.NumEventTypes)
 	}
 	return signaling.Event{
 		Day:      timegrid.SimDay(ints[0]),
@@ -634,6 +657,13 @@ func parseEventRow(rec []string) (signaling.Event, error) {
 		PLMN:     devices.PLMN{MCC: uint16(ints[8]), MNC: uint16(ints[9])},
 		OK:       ok,
 	}, nil
+}
+
+// canonicalInt reports whether s, already accepted by strconv.ParseInt
+// in base 10, is the form strconv.FormatInt prints: no '+' sign, no
+// leading zeros, no "-0".
+func canonicalInt(s string) bool {
+	return s[0] != '+' && (len(s) == 1 || s[0] != '0') && !(s[0] == '-' && s[1] == '0')
 }
 
 // --- helpers -----------------------------------------------------------------

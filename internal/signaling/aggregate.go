@@ -1,11 +1,14 @@
 package signaling
 
 import (
-	"repro/internal/census"
+	"math/bits"
+	"slices"
+
 	"repro/internal/devices"
 	"repro/internal/mobsim"
 	"repro/internal/popsim"
 	"repro/internal/radio"
+	"repro/internal/rng"
 	"repro/internal/timegrid"
 )
 
@@ -13,14 +16,22 @@ import (
 // paper actually analyses ("these feeds are aggregated at postcode level
 // or larger granularity", §2.2): per-district per-type counts, failure
 // tallies, distinct-user reach and RAT usage.
+//
+// Its state is dense and sized once at construction: district counts
+// indexed by census.DistrictID (districts are numbered 0..n-1) and a
+// distinct-user bitset indexed by popsim.UserID (users are numbered
+// 0..n-1). Consume never grows either, so a replayed event naming a user
+// or tower outside the world panics on the index — the stream engine
+// reports that as a typed *stream.WorkerPanic — instead of allocating.
 type Aggregator struct {
 	topo *radio.Topology
 
-	ByDistrict map[census.DistrictID]*DistrictCounts
+	// ByDistrict is indexed by census.DistrictID.
+	ByDistrict []DistrictCounts
 	ByType     [NumEventTypes]int64
 	Failures   int64
 	Total      int64
-	usersSeen  map[popsim.UserID]bool
+	usersSeen  []uint64 // bitset over popsim.UserID
 }
 
 // DistrictCounts is the per-postcode aggregate.
@@ -30,76 +41,76 @@ type DistrictCounts struct {
 	Total    int64
 }
 
-// NewAggregator builds an aggregator over a topology.
-func NewAggregator(topo *radio.Topology) *Aggregator {
+// NewAggregator builds an aggregator over a topology's districts and a
+// population of the given number of SIMs (user IDs 0..users-1).
+func NewAggregator(topo *radio.Topology, users int) *Aggregator {
 	return &Aggregator{
 		topo:       topo,
-		ByDistrict: make(map[census.DistrictID]*DistrictCounts),
-		usersSeen:  make(map[popsim.UserID]bool),
+		ByDistrict: make([]DistrictCounts, len(topo.Model().Districts)),
+		usersSeen:  make([]uint64, (users+63)/64),
 	}
 }
 
-// Consume ingests one event; it is an EmitFunc.
+// Consume ingests one event; it is an EmitFunc. It panics, leaving the
+// aggregator unchanged, on an event whose user, tower or type lies
+// outside the world the aggregator was built for.
 func (a *Aggregator) Consume(e *Event) {
+	dc := &a.ByDistrict[a.topo.Towers[e.Tower].District]
+	w := &a.usersSeen[e.User/64]
+	n := &a.ByType[e.Type]
 	a.Total++
-	a.ByType[e.Type]++
-	if !e.OK {
-		a.Failures++
-	}
-	d := a.topo.Tower(e.Tower).District
-	dc := a.ByDistrict[d]
-	if dc == nil {
-		dc = &DistrictCounts{}
-		a.ByDistrict[d] = dc
-	}
+	*n++
 	dc.Total++
 	dc.ByType[e.Type]++
 	if !e.OK {
+		a.Failures++
 		dc.Failures++
 	}
-	a.usersSeen[e.User] = true
+	*w |= 1 << (e.User % 64)
 }
 
-// Merge folds another aggregator's tallies into a. Every aggregate is an
-// integer count or a distinct-user set, so merging is exact: partitioning
-// an event stream across shard-local aggregators and merging them — in
-// any order — reproduces a single aggregator over the whole stream.
+// Merge folds another aggregator's tallies into a; both must be built
+// over the same world. Every aggregate is an integer count or a
+// distinct-user set, so merging (add and OR) is exact: partitioning an
+// event stream across shard-local aggregators and merging them — in any
+// order — reproduces a single aggregator over the whole stream.
 func (a *Aggregator) Merge(o *Aggregator) {
 	a.Total += o.Total
 	a.Failures += o.Failures
 	for t := range o.ByType {
 		a.ByType[t] += o.ByType[t]
 	}
-	for d, oc := range o.ByDistrict {
-		dc := a.ByDistrict[d]
-		if dc == nil {
-			dc = &DistrictCounts{}
-			a.ByDistrict[d] = dc
-		}
+	for d := range o.ByDistrict {
+		dc, oc := &a.ByDistrict[d], &o.ByDistrict[d]
 		dc.Total += oc.Total
 		dc.Failures += oc.Failures
 		for t := range oc.ByType {
 			dc.ByType[t] += oc.ByType[t]
 		}
 	}
-	for u := range o.usersSeen {
-		a.usersSeen[u] = true
+	for i, w := range o.usersSeen {
+		a.usersSeen[i] |= w
 	}
 }
 
 // Fork returns an independent deep copy of the aggregator: both copies
 // can consume further events (e.g. under different scenarios) without
-// sharing any mutable state. Fork-then-Merge composes with the existing
-// exact merge semantics: a.Fork() fed stream X and a.Fork() fed stream
-// Y, merged, equal a fed X then Y.
+// sharing any mutable state, so a.Fork() fed stream X equals a fed X.
 func (a *Aggregator) Fork() *Aggregator {
-	f := NewAggregator(a.topo)
-	f.Merge(a)
-	return f
+	f := *a
+	f.ByDistrict = slices.Clone(a.ByDistrict)
+	f.usersSeen = slices.Clone(a.usersSeen)
+	return &f
 }
 
 // DistinctUsers returns how many distinct SIMs appeared in the feed.
-func (a *Aggregator) DistinctUsers() int { return len(a.usersSeen) }
+func (a *Aggregator) DistinctUsers() int {
+	n := 0
+	for _, w := range a.usersSeen {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // FailureRate returns the overall event failure fraction.
 func (a *Aggregator) FailureRate() float64 {
@@ -163,10 +174,10 @@ func (r *RATShare) ConsumeDay(day timegrid.SimDay, traces []mobsim.DayTrace) {
 	for i := range traces {
 		t := &traces[i]
 		u := r.gen.pop.User(t.User)
-		src := rngFor(r.gen.seed, uint64(t.User), uint64(day))
+		src := rng.Stream2(r.gen.seed, uint64(t.User), uint64(day))
 		for _, v := range t.Visits {
 			tw := r.gen.topo.Tower(v.Tower())
-			rat := r.gen.ratFor(u, tw, src)
+			rat := r.gen.ratFor(u, tw, &src)
 			r.seconds[rat] += float64(v.Seconds())
 		}
 	}

@@ -133,28 +133,42 @@ func (g *Generator) ratFor(u *popsim.User, tw *radio.Tower, src *rng.Source) rad
 	return radio.RAT4G
 }
 
-// emit fills the common fields and forwards the event. Timestamps are
-// clamped to the day (follow-up events scheduled past midnight are
-// recorded at the last second, as a probe flushing at day rollover
-// would).
-func (g *Generator) emit(f EmitFunc, u *popsim.User, day timegrid.SimDay, sec int32, typ EventType, tw radio.TowerID, src *rng.Source) {
+// emitter is the state of one generator call: the consumer, the agent,
+// the day, the agent-day's random stream and the scratch Event every
+// emission of the call reuses (EmitFunc must not retain the pointer), so
+// a call costs at most one allocation however many events it emits.
+type emitter struct {
+	g   *Generator
+	f   EmitFunc
+	u   *popsim.User
+	day timegrid.SimDay
+	src rng.Source
+	ev  Event
+}
+
+// emit fills the scratch event and forwards it. Timestamps are clamped
+// to the day (follow-up events scheduled past midnight are recorded at
+// the last second, as a probe flushing at day rollover would). The
+// literal draws sector, RAT and result code in that (left-to-right)
+// order, which is part of the event stream.
+func (e *emitter) emit(sec int32, typ EventType, tw radio.TowerID) {
 	if sec > 86_399 {
 		sec = 86_399
 	}
-	tower := g.topo.Tower(tw)
-	ev := Event{
-		User:     u.ID,
-		Day:      day,
+	tower := e.g.topo.Tower(tw)
+	e.ev = Event{
+		User:     e.u.ID,
+		Day:      e.day,
 		SecOfDay: sec,
 		Type:     typ,
 		Tower:    tw,
-		Sector:   uint8(src.Intn(tower.Sectors)),
-		RAT:      g.ratFor(u, tower, src),
-		TAC:      u.Device.TAC,
-		PLMN:     u.PLMN,
-		OK:       !src.Bool(0.004), // rare failures
+		Sector:   uint8(e.src.Intn(tower.Sectors)),
+		RAT:      e.g.ratFor(e.u, tower, &e.src),
+		TAC:      e.u.Device.TAC,
+		PLMN:     e.u.PLMN,
+		OK:       !e.src.Bool(0.004), // rare failures
 	}
-	f(&ev)
+	e.f(&e.ev)
 }
 
 // UserDay generates the control-plane events for one native agent-day
@@ -163,18 +177,18 @@ func (g *Generator) emit(f EmitFunc, u *popsim.User, day timegrid.SimDay, sec in
 // transitions and service requests within long dwells, TAUs on larger
 // moves, and a detach for a small fraction of devices overnight.
 func (g *Generator) UserDay(t *mobsim.DayTrace, day timegrid.SimDay, f EmitFunc) {
-	u := g.pop.User(t.User)
-	src := rng.New(g.seed).Split2(uint64(t.User), uint64(day))
 	if len(t.Visits) == 0 {
 		return
 	}
+	e := &emitter{g: g, f: f, u: g.pop.User(t.User), day: day, src: rng.Stream2(g.seed, uint64(t.User), uint64(day))}
+	src := &e.src
 
 	first := t.Visits[0]
 	firstTower := first.Tower()
 	sec := int32(first.Bin()) * timegrid.BinHours * 3600
-	g.emit(f, u, day, sec, Attach, firstTower, src)
-	g.emit(f, u, day, sec+1, Authentication, firstTower, src)
-	g.emit(f, u, day, sec+2, SessionEstablish, firstTower, src)
+	e.emit(sec, Attach, firstTower)
+	e.emit(sec+1, Authentication, firstTower)
+	e.emit(sec+2, SessionEstablish, firstTower)
 
 	prev := firstTower
 	for i, v := range t.Visits {
@@ -184,10 +198,10 @@ func (g *Generator) UserDay(t *mobsim.DayTrace, day timegrid.SimDay, f EmitFunc)
 		if i > 0 && tw != prev {
 			// Tower change: active users hand over, idle ones TAU.
 			if src.Bool(0.55) {
-				g.emit(f, u, day, at, Handover, tw, src)
+				e.emit(at, Handover, tw)
 			} else {
-				g.emit(f, u, day, at, TrackingAreaUpdate, tw, src)
-				g.emit(f, u, day, at+1, ServiceRequest, tw, src)
+				e.emit(at, TrackingAreaUpdate, tw)
+				e.emit(at+1, ServiceRequest, tw)
 			}
 		}
 		// Activity within the dwell: service requests / idle cycles and
@@ -195,33 +209,34 @@ func (g *Generator) UserDay(t *mobsim.DayTrace, day timegrid.SimDay, f EmitFunc)
 		cycles := src.Poisson(float64(v.Seconds()) / 3600 * 1.2)
 		for c := 0; c < cycles; c++ {
 			cat := binStart + int32(src.Intn(timegrid.BinHours*3600))
-			g.emit(f, u, day, cat, ServiceRequest, tw, src)
-			g.emit(f, u, day, cat+int32(src.IntRange(30, 600)), IdleTransition, tw, src)
+			e.emit(cat, ServiceRequest, tw)
+			e.emit(cat+int32(src.IntRange(30, 600)), IdleTransition, tw)
 			if src.Bool(0.15) {
-				g.emit(f, u, day, cat+2, BearerSetup, tw, src)
-				g.emit(f, u, day, cat+int32(src.IntRange(60, 900)), BearerRelease, tw, src)
+				e.emit(cat+2, BearerSetup, tw)
+				e.emit(cat+int32(src.IntRange(60, 900)), BearerRelease, tw)
 			}
 		}
 		prev = tw
 	}
 
 	if src.Bool(0.06) { // phones switched off overnight
-		g.emit(f, u, day, 86_000, Detach, prev, src)
+		e.emit(86_000, Detach, prev)
 	}
 }
 
 // MachineDay generates the sparse, stationary event pattern of an M2M
 // SIM: periodic TAU/service-request heartbeats at its fixed tower.
 func (g *Generator) MachineDay(u *popsim.User, day timegrid.SimDay, f EmitFunc) {
-	src := rng.New(g.seed).Split2(uint64(u.ID)^0x3232, uint64(day))
+	e := &emitter{g: g, f: f, u: u, day: day, src: rng.Stream2(g.seed, uint64(u.ID)^0x3232, uint64(day))}
+	src := &e.src
 	beats := src.IntRange(4, 12)
 	for i := 0; i < beats; i++ {
 		at := int32(src.Intn(86_400))
-		g.emit(f, u, day, at, ServiceRequest, u.HomeTower, src)
-		g.emit(f, u, day, at+5, IdleTransition, u.HomeTower, src)
+		e.emit(at, ServiceRequest, u.HomeTower)
+		e.emit(at+5, IdleTransition, u.HomeTower)
 	}
 	if src.Bool(0.02) {
-		g.emit(f, u, day, int32(src.Intn(86_400)), TrackingAreaUpdate, u.HomeTower, src)
+		e.emit(int32(src.Intn(86_400)), TrackingAreaUpdate, u.HomeTower)
 	}
 }
 
@@ -229,19 +244,16 @@ func (g *Generator) MachineDay(u *popsim.User, day timegrid.SimDay, f EmitFunc) 
 // collapses after the travel restrictions: once the lockdown window
 // starts, most roamers have left the country.
 func (g *Generator) RoamerDay(u *popsim.User, day timegrid.SimDay, f EmitFunc) {
-	src := rng.New(g.seed).Split2(uint64(u.ID)^0xB0A0, uint64(day))
-	present := true
-	if sd, ok := day.ToStudyDay(); ok && sd >= timegrid.WorkFromHomeAdvice {
-		present = src.Bool(0.15)
-	}
-	if !present {
+	e := &emitter{g: g, f: f, u: u, day: day, src: rng.Stream2(g.seed, uint64(u.ID)^0xB0A0, uint64(day))}
+	src := &e.src
+	if sd, ok := day.ToStudyDay(); ok && sd >= timegrid.WorkFromHomeAdvice && !src.Bool(0.15) {
 		return
 	}
-	g.emit(f, u, day, int32(src.Intn(43_200)), Attach, u.HomeTower, src)
+	e.emit(int32(src.Intn(43_200)), Attach, u.HomeTower)
 	moves := src.IntRange(1, 5)
 	for i := 0; i < moves; i++ {
 		tw := g.topo.PickTower(u.HomeDistrict, day, src)
-		g.emit(f, u, day, int32(43_200+src.Intn(43_000)), Handover, tw, src)
+		e.emit(int32(43_200+src.Intn(43_000)), Handover, tw)
 	}
 }
 
@@ -260,10 +272,4 @@ func (g *Generator) Day(day timegrid.SimDay, traces []mobsim.DayTrace, f EmitFun
 			g.RoamerDay(u, day, f)
 		}
 	}
-}
-
-// rngFor derives the per-(user, day) stream shared by the generator and
-// the RAT-share accumulator.
-func rngFor(seed, user, day uint64) *rng.Source {
-	return rng.New(seed).Split2(user, day)
 }

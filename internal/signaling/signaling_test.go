@@ -144,7 +144,7 @@ func TestM2MStationary(t *testing.T) {
 
 func TestAggregator(t *testing.T) {
 	pop, sim, gen := fixture(t)
-	agg := NewAggregator(pop.Topology())
+	agg := NewAggregator(pop.Topology(), len(pop.Users))
 	day := timegrid.SimDay(10)
 	gen.Day(day, sim.Day(day), agg.Consume)
 	if agg.Total == 0 {

@@ -201,6 +201,10 @@ func (h *Homes) Detect() map[popsim.UserID]core.Home {
 type Signaling struct {
 	gen  *signaling.Generator
 	aggs []*signaling.Aggregator
+	// consume holds each shard's aggs[i].Consume method value, built
+	// once: evaluating it per generator call would allocate a closure
+	// per user-day.
+	consume []signaling.EmitFunc
 	// background re-creates the M2M / inbound-roamer event floor that
 	// Generator.Day adds on top of the native traces; the non-native
 	// users are pre-partitioned across shards at construction.
@@ -211,9 +215,11 @@ type Signaling struct {
 // When background is true, shards also emit the M2M and roamer event
 // floor, matching signaling.Generator.Day.
 func NewSignaling(gen *signaling.Generator, topo *radio.Topology, shards int, background bool) *Signaling {
-	s := &Signaling{gen: gen, aggs: make([]*signaling.Aggregator, shards)}
+	s := &Signaling{gen: gen, aggs: make([]*signaling.Aggregator, shards), consume: make([]signaling.EmitFunc, shards)}
+	users := len(gen.Population().Users)
 	for i := range s.aggs {
-		s.aggs[i] = signaling.NewAggregator(topo)
+		s.aggs[i] = signaling.NewAggregator(topo, users)
+		s.consume[i] = s.aggs[i].Consume
 	}
 	if background {
 		s.background = make([][]int, shards)
@@ -234,9 +240,9 @@ func (s *Signaling) BeginDay(timegrid.SimDay, []mobsim.DayTrace) {}
 
 // ShardDay generates and aggregates the shard's events.
 func (s *Signaling) ShardDay(shard int, day timegrid.SimDay, traces []mobsim.DayTrace, idx []int) {
-	agg := s.aggs[shard]
+	consume := s.consume[shard]
 	for _, i := range idx {
-		s.gen.UserDay(&traces[i], day, agg.Consume)
+		s.gen.UserDay(&traces[i], day, consume)
 	}
 	if s.background != nil {
 		pop := s.gen.Population()
@@ -244,9 +250,9 @@ func (s *Signaling) ShardDay(shard int, day timegrid.SimDay, traces []mobsim.Day
 			u := &pop.Users[ui]
 			switch u.Kind {
 			case popsim.NativeM2M:
-				s.gen.MachineDay(u, day, agg.Consume)
+				s.gen.MachineDay(u, day, consume)
 			case popsim.InboundRoamer:
-				s.gen.RoamerDay(u, day, agg.Consume)
+				s.gen.RoamerDay(u, day, consume)
 			}
 		}
 	}
@@ -288,7 +294,7 @@ func (s *Signaling) Totals() (events, failures int64) {
 // Merged returns one aggregator combining every shard, merged in shard
 // order.
 func (s *Signaling) Merged(topo *radio.Topology) *signaling.Aggregator {
-	out := signaling.NewAggregator(topo)
+	out := signaling.NewAggregator(topo, len(s.gen.Population().Users))
 	for _, a := range s.aggs {
 		out.Merge(a)
 	}

@@ -13,9 +13,10 @@
 #
 # The default set covers the per-day hot path (simulation, KPI engine —
 # the EngineDay pattern includes the Day/DayAppend benchmarks — the KPI
-# fold, §2.3 metrics), the end-to-end serial/streaming pipelines, the
-# registry sweep with copy-on-divergence on/off (SweepSharedPrefix vs
-# SweepUnsharedRegistry), and the ScaleLadder rungs (8k/100k/1M users;
+# fold, §2.3 metrics, the mnostream signaling shard day), the end-to-end
+# serial/streaming pipelines, the registry sweep with copy-on-divergence
+# on/off (SweepSharedPrefix vs SweepUnsharedRegistry), and the
+# ScaleLadder rungs (8k/100k/1M users;
 # the 1M rung takes tens of seconds to build — set BENCH to exclude it
 # for quick local loops).
 # Compare snapshots with scripts/benchdiff.sh.
@@ -44,7 +45,7 @@ if [ "$sha" != nogit ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
   sha="${sha}-dirty"
 fi
 benchtime="${BENCHTIME:-1x}"
-pattern="${BENCH:-SimDayInto|SimulateDay|EngineDay|KPIConsumeDay|DayMetrics|MergeVisits|RunStandardSerial|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay}"
+pattern="${BENCH:-SimDayInto|SimulateDay|EngineDay|KPIConsumeDay|DayMetrics|MergeVisits|SignalingShardDay|RunStandardSerial|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay}"
 
 # Runner metadata: numbers are only comparable between snapshots taken on
 # similar hardware, so record what ran them. benchdiff warns when the two
