@@ -521,10 +521,11 @@ func itoa(v int) string {
 
 // --- streaming engine benchmarks ---------------------------------------------
 
-// BenchmarkRunStandardSerial is the serial end-to-end baseline the
-// streaming benchmarks compare against: the full two-pass pipeline at
-// the default popsim.ScaleSmall scale.
-func BenchmarkRunStandardSerial(b *testing.B) {
+// BenchmarkRunStandard is the end-to-end baseline: the full two-pass
+// pipeline at the default popsim.ScaleSmall scale on the study driver,
+// GOMAXPROCS producers overlapping the folds. Results are bit-identical
+// at any core count, so `-cpu 1,2,4` measures what the extra cores buy.
+func BenchmarkRunStandard(b *testing.B) {
 	cfg := experiments.DefaultConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -533,25 +534,6 @@ func BenchmarkRunStandardSerial(b *testing.B) {
 		}
 	}
 }
-
-// benchmarkStream runs the sharded streaming pipeline end to end. The
-// results are bit-identical to RunStandard; what varies is wall clock.
-// Speedup over BenchmarkRunStandardSerial tracks the perf trajectory of
-// the engine across PRs (on multi-core hardware; a single-core runner
-// shows parity plus a small scheduling overhead).
-func benchmarkStream(b *testing.B, workers int) {
-	cfg := experiments.DefaultConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if r, err := experiments.RunStreaming(context.Background(), cfg, workers); err != nil || r.KPI == nil {
-			b.Fatal("no KPI analyzer")
-		}
-	}
-}
-
-func BenchmarkStreamWorkers1(b *testing.B) { benchmarkStream(b, 1) }
-func BenchmarkStreamWorkers4(b *testing.B) { benchmarkStream(b, 4) }
-func BenchmarkStreamWorkers8(b *testing.B) { benchmarkStream(b, 8) }
 
 // BenchmarkStreamSimSource isolates the parallel day-production stage
 // (simulation + KPI engine on per-worker clones, re-sequenced).
@@ -652,8 +634,8 @@ func BenchmarkSweepParallel(b *testing.B)  { benchmarkSweepParallel(b, 2) }
 func BenchmarkSweepParallel4(b *testing.B) { benchmarkSweepParallel(b, 4) }
 
 // sweepAllFixture builds the full 7-scenario registry set over its own
-// world at the default popsim.ScaleSmall scale (the scale BenchmarkRunStandardSerial
-// and the streaming benchmarks quote) — the copy-on-divergence headline
+// world at the default popsim.ScaleSmall scale (the scale
+// BenchmarkRunStandard quotes) — the copy-on-divergence headline
 // pair runs here rather than on the small sweepBenchFixture world. At
 // 1000 users the per-cell engine reduction and KPI fold, which do not
 // scale with users, dominate each day and flatten the relative win of

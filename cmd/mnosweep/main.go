@@ -12,7 +12,7 @@
 // table are keyed by label, so a repeated registry name or a spec file
 // whose name collides with another entry is a usage error.
 //
-// Every scenario run executes on the checkpointable serial study loop.
+// Every scenario run executes on the study driver, one producer ahead.
 // -share-prefix (default on) runs the sweep copy-on-divergence: the
 // scenarios are grouped by the first day their behaviour can differ
 // (pandemic.Scenario.DivergenceFrom), each shared prefix is simulated
@@ -22,11 +22,11 @@
 // were forked and how many days they skipped. See PERFORMANCE.md,
 // "Copy-on-divergence sweeps".
 //
-// -parallel N executes up to N scenario runs concurrently, one core
-// each: output is bit-identical to the serial sweep, re-sequenced to
-// the input order. -parallel is the sweep's only concurrency knob (a
-// -share-prefix=false -parallel 1 sweep runs every scenario on one
-// core). -baseline NAME additionally prints a differential table —
+// -parallel N executes up to N scenario runs concurrently, each run's
+// production overlapping its folds: output is bit-identical to the
+// serial sweep, re-sequenced to the input order. -parallel is the
+// sweep's only concurrency knob (-parallel 1 still keeps two cores
+// busy). -baseline NAME additionally prints a differential table —
 // every scenario's per-day KPI and mobility series against the named
 // run: absolute and percent mean deltas plus trough/peak day shifts.
 //
@@ -81,7 +81,7 @@ func main() {
 		users       = flag.Int("users", 4000, "synthetic native smartphone users")
 		seed        = flag.Uint64("seed", 42, "master random seed (shared by every scenario: paired draws)")
 		noKPI       = flag.Bool("nokpi", false, "skip the traffic engine (mobility headlines only, ~3× faster)")
-		parallel    = flag.Int("parallel", 1, "concurrent scenario runs, one core each (1: serial; output is identical either way)")
+		parallel    = flag.Int("parallel", 1, "concurrent scenario runs (1: one at a time; output is identical either way)")
 		sharePrefix = flag.Bool("share-prefix", true, "simulate shared scenario prefixes once and fork at the divergence day (bit-identical output; =false re-simulates every scenario from day 0)")
 		baseline    = flag.String("baseline", "", "scenario name to difference every other run against (prints the delta table)")
 		journalPath = flag.String("journal", "", "record completed runs to this JSON-lines file as they finish")

@@ -15,17 +15,17 @@
 // Entry points:
 //
 //   - internal/experiments: one runner per paper figure (Fig2 … Fig12),
-//     with shape checks against the published results. RunStandard is
-//     the serial pipeline; RunStreaming is the same pipeline on the
-//     sharded streaming engine, bit-identical at any worker count. The
-//     stack splits into a scenario-independent World (census + radio +
-//     population, built once) and per-scenario run stacks
+//     with shape checks against the published results. RunStandard and
+//     every sweep run use the one study driver: day production overlaps
+//     the folds on the streaming engine, bit-identical at any worker
+//     count to a plain serial day loop. The stack splits into a
+//     scenario-independent World (census + radio + population, built once) and per-scenario run stacks
 //     (World.Instantiate); RunSweepParallelOpts runs many scenarios
 //     over one shared World and SweepTable compares their headlines.
 //   - internal/stream: the sharded, backpressured streaming analytics
 //     engine (worker-pool day production, hash-partitioned shard
-//     stages, deterministic merge) behind RunStreaming, mnostream and
-//     the feed replays.
+//     stages, deterministic merge) behind RunStandard, the sweeps,
+//     mnostream and the feed replays.
 //   - internal/scenario: declarative JSON scenario specs and the named
 //     registry (default-covid, no-pandemic, early-lockdown, …) behind
 //     every -scenario flag; lossless round trips to pandemic.Scenario
@@ -38,9 +38,9 @@
 //     under any -scenario — through the engine and emit rolling daily
 //     KPI/mobility summaries (-workers / -shards).
 //   - cmd/mnosweep: run a scenario set over one shared world, each run
-//     on the serial study loop and forked from a shared-prefix
-//     checkpoint at its divergence day (-share-prefix, bit-identical
-//     output) — serially or with -parallel N concurrent runs — and
+//     on the study driver and forked from a shared-prefix checkpoint
+//     at its divergence day (-share-prefix, bit-identical output) —
+//     serially or with -parallel N concurrent runs — and
 //     print the headline comparison table plus, with -baseline NAME,
 //     the per-series delta table against that run (-list shows the
 //     registry).
@@ -55,10 +55,9 @@
 //
 // The benchmarks in bench_test.go regenerate every table and figure (one
 // benchmark each), include the design-choice ablations cmd/ablate
-// prints, and track the streaming engine's speedup over the serial
-// pipeline (BenchmarkStreamWorkers1/4/8 vs BenchmarkRunStandardSerial;
-// PERFORMANCE.md, "Benchmarks"). perfbench/README.md documents the
-// end-to-end repository benchmark.
+// prints, and time the whole pipeline (BenchmarkRunStandard, with -cpu
+// 1,2,4 to see what cores buy; PERFORMANCE.md, "Benchmarks").
+// perfbench/README.md documents the end-to-end repository benchmark.
 //
 // Failure semantics are documented in RELIABILITY.md: every runner is
 // context-cancellable (SIGINT/SIGTERM exits 130 with partial outputs

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/mobsim"
 	"repro/internal/pandemic"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -67,13 +68,14 @@ func main() {
 	world := experiments.NewWorld(cfg)
 
 	fmt.Println("national radius of gyration, Δ% vs week 9 (weekly means):")
+	buf := mobsim.NewDayBuffer() // reused by DayInto for every day
 	for _, sc := range scenarios {
 		cfg.Scenario = sc.scen
 		d := world.Instantiate(cfg)
 		// Lightweight pass: mobility only, study window only.
 		mob := core.NewMobilityAnalyzer(d.Pop, core.DefaultTopN)
 		for day := timegrid.SimDay(timegrid.StudyDayOffset); day < timegrid.SimDays; day++ {
-			mob.ConsumeDay(day, d.Sim.Day(day))
+			mob.ConsumeDay(day, d.Sim.DayInto(buf, day))
 		}
 		s := mob.NationalSeries(core.MetricGyration)
 		w := core.DeltaSeries(s, stats.Mean(s.Values[:7])).WeeklyMeans()

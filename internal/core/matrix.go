@@ -76,20 +76,13 @@ func (m *MobilityMatrix) ConsumeDay(day timegrid.SimDay, traces []mobsim.DayTrac
 	}
 }
 
-// UserCounties computes the distinct counties a user's top-N towers fall
-// in over one day, reporting whether the user belongs to the cohort.
-// This is the expensive per-user half of ConsumeDay, split out so a
+// UserCountiesInto computes the distinct counties a user's top-N towers
+// fall in over one day, reporting whether the user belongs to the
+// cohort: the expensive per-user half of ConsumeDay, split out so a
 // sharded pipeline can run it in parallel and fold the results back in
-// with ConsumeUserCounties. It allocates per call; hot loops should use
-// UserCountiesInto with a reused merger and destination.
-func (m *MobilityMatrix) UserCounties(t *mobsim.DayTrace) ([]census.CountyID, bool) {
-	var mg VisitMerger
-	return m.UserCountiesInto(&mg, t, nil)
-}
-
-// UserCountiesInto is UserCounties with caller-owned scratch: mg supplies
-// the visit-merge buffers and the county set is appended to dst (which
-// must be empty; pass prev[:0] to reuse capacity). ConsumeUserCounties
+// with ConsumeUserCounties. mg supplies the visit-merge buffers and the
+// county set is appended to dst (which must be empty; pass prev[:0] to
+// reuse capacity). ConsumeUserCounties
 // treats the set as unordered, so the first-appearance order emitted
 // here folds identically to any other order. Concurrent callers must use
 // one merger per goroutine; the matrix itself is not written.

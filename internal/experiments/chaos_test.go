@@ -50,7 +50,7 @@ func TestStreamingProduceFaultPropagates(t *testing.T) {
 	dr := stream.DoubleReleases()
 	cfg := sweepConfig()
 	fi := fault.New(fault.Rule{Site: fault.ProduceDay, Kind: fault.KindError, Key: 40})
-	r, err := RunStreamingConfig(context.Background(), cfg, stream.Config{Workers: 3, Fault: fi})
+	r, err := runOn(context.Background(), NewDataset(cfg), stream.Config{Workers: 3, Fault: fi})
 	if r != nil {
 		t.Fatal("failed run returned results")
 	}
@@ -77,7 +77,7 @@ func TestStreamingProducePanicIsTyped(t *testing.T) {
 	dr := stream.DoubleReleases()
 	cfg := sweepConfig()
 	fi := fault.New(fault.Rule{Site: fault.ProduceDay, Kind: fault.KindPanic, Key: 45})
-	_, err := RunStreamingConfig(context.Background(), cfg, stream.Config{Workers: 3, Fault: fi})
+	_, err := runOn(context.Background(), NewDataset(cfg), stream.Config{Workers: 3, Fault: fi})
 	var wp *stream.WorkerPanic
 	if !errors.As(err, &wp) {
 		t.Fatalf("want *stream.WorkerPanic, got %T: %v", err, err)
@@ -97,7 +97,7 @@ func TestStreamingShardFaultPropagates(t *testing.T) {
 	dr := stream.DoubleReleases()
 	cfg := sweepConfig()
 	fi := fault.New(fault.Rule{Site: fault.ShardTask, Kind: fault.KindError, Key: 50})
-	_, err := RunStreamingConfig(context.Background(), cfg, stream.Config{Workers: 3, Shards: 4, Fault: fi})
+	_, err := runOn(context.Background(), NewDataset(cfg), stream.Config{Workers: 3, Shards: 4, Fault: fi})
 	if !fault.IsInjected(err) {
 		t.Fatalf("want injected fault error, got %v", err)
 	}
@@ -158,7 +158,7 @@ func TestStreamingCancelledContext(t *testing.T) {
 	cfg := sweepConfig()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := RunStreamingConfig(ctx, cfg, stream.Config{Workers: 3})
+	r, err := runOn(ctx, NewDataset(cfg), stream.Config{Workers: 3})
 	if r != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want nil results + context.Canceled, got %v, %v", r, err)
 	}
@@ -287,4 +287,41 @@ func TestSweepOnRunObservesCompletions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSweepRiderPanicSparesHost pins rider isolation: a panic injected
+// into a rider's admission gate — which runs inside its host's boundary
+// callback — fails only the rider, with the *stream.WorkerPanic a
+// standalone run would report, and leaves the host's result
+// bit-identical to a clean sweep.
+func TestSweepRiderPanicSparesHost(t *testing.T) {
+	cfg := goldenConfig()
+	scens := registrySweep(t)
+	w := NewWorld(cfg)
+	plan := planPrefix(scens)
+	rider := -1
+	for i := range scens {
+		if plan.rider[i] {
+			rider = i
+		}
+	}
+	if rider < 0 {
+		t.Fatal("registry sweep plans no rider")
+	}
+	host := plan.parent[rider]
+	fi := fault.New(fault.Rule{Site: fault.SweepRun, Kind: fault.KindPanic, Key: int64(rider)})
+	opt := SweepOptions{Parallel: 1, SharePrefix: true}
+	base, dr := runtime.NumGoroutine(), stream.DoubleReleases()
+	runs, _ := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1, Fault: fi}, scens, opt)
+	settleGoroutines(t, base)
+	assertNoBufferAbuse(t, dr)
+	var wp *stream.WorkerPanic
+	if !errors.As(runs[rider].Err, &wp) || wp.Stage != "sweep" {
+		t.Fatalf("rider %s: want a sweep-stage *stream.WorkerPanic, got %v", scens[rider].Name, runs[rider].Err)
+	}
+	if runs[host].Err != nil {
+		t.Fatalf("host %s failed with its rider: %v", scens[host].Name, runs[host].Err)
+	}
+	clean := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens, opt)
+	assertSweepRunsEqual(t, clean[host:host+1], runs[host:host+1])
 }

@@ -6,13 +6,15 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/mobsim"
 	"repro/internal/pandemic"
 	"repro/internal/popsim"
 	"repro/internal/radio"
-	"repro/internal/timegrid"
+	"repro/internal/stream"
 	"repro/internal/traffic"
 )
 
@@ -62,20 +64,14 @@ func NewDataset(cfg Config) *Dataset {
 	return NewWorld(cfg).Instantiate(cfg)
 }
 
-// DayConsumer receives one simulated day of traces. The slice is only
-// valid for the duration of the call — the runners and replays reuse one
-// day buffer across the whole pass — so implementations must copy
-// anything they keep.
-type DayConsumer interface {
-	ConsumeDay(day timegrid.SimDay, traces []mobsim.DayTrace)
-}
-
-// KPIConsumer receives one simulated day of per-cell KPI records, under
-// the same ownership rule as DayConsumer: copy anything kept past the
-// call.
-type KPIConsumer interface {
-	ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay)
-}
+// DayConsumer receives one simulated day of traces, and KPIConsumer one
+// day of per-cell KPI records. The slices are only valid for the
+// duration of the call — the driver and the replays reuse day buffers —
+// so implementations must copy anything they keep.
+type (
+	DayConsumer = stream.TraceConsumer
+	KPIConsumer = stream.KPIConsumer
+)
 
 // Results bundles the analyzers most figures share; RunStandard fills it
 // in one pass over the simulation.
@@ -101,10 +97,14 @@ func RunStandard(cfg Config) *Results {
 // It runs the simulation twice: a February-only pass to detect homes
 // (so the matrix cohort exists before the study window starts), then the
 // study window. Both passes are deterministic and share the same per-day
-// streams, so the traces are identical across passes.
+// streams, so the traces are identical across passes. Both run on the
+// study driver with GOMAXPROCS producers and one more day live
+// (stream.Config.Buffer 1); a pipeline panic is re-raised here.
 func RunStandardOn(d *Dataset) *Results {
-	r := newResults(d, detectHomes(d.Sim, d.Topology))
-	runStudy(d, r, 0, nil, nil)
+	r, err := runOn(context.Background(), d, stream.Config{Buffer: 1})
+	if err != nil {
+		panic(err)
+	}
 	return r
 }
 
@@ -130,49 +130,4 @@ func newResults(d *Dataset, homes homesMap) *Results {
 		r.KPI = core.NewKPIAnalyzer(d.Topology)
 	}
 	return r
-}
-
-// detectHomes runs the February home-detection pass on sim.
-func detectHomes(sim *mobsim.Simulator, topo *radio.Topology) homesMap {
-	hd := core.NewHomeDetector(topo)
-	buf := mobsim.NewDayBuffer()
-	for day := timegrid.SimDay(0); day < timegrid.FebruaryDays; day++ {
-		hd.ConsumeDay(day, sim.DayInto(buf, day))
-	}
-	return hd.Detect()
-}
-
-// runStudy is the serial study-window day loop: it simulates study days
-// [start, StudyDays) on d.Sim, one reused day buffer for the whole loop,
-// and folds each day into r — mobility, matrix and, when d has a traffic
-// engine, KPI — before handing its traces to extra (when non-nil).
-//
-// at, when non-nil, runs at every day boundary sd, with days [0, sd)
-// consumed and day sd not yet simulated, including the closing boundary
-// sd == StudyDays; an error from it stops the loop and is returned.
-// Panics propagate to the caller.
-func runStudy(d *Dataset, r *Results, start int, at func(sd int) error, extra DayConsumer) error {
-	buf := mobsim.NewDayBuffer()
-	var cells []traffic.CellDay
-	for sd := start; ; sd++ {
-		if at != nil {
-			if err := at(sd); err != nil {
-				return err
-			}
-		}
-		if sd == timegrid.StudyDays {
-			return nil
-		}
-		day := timegrid.StudyDay(sd).ToSimDay()
-		traces := d.Sim.DayInto(buf, day)
-		r.Mobility.ConsumeDay(day, traces)
-		r.Matrix.ConsumeDay(day, traces)
-		if d.Engine != nil {
-			cells = d.Engine.DayAppend(cells[:0], day, traces)
-			r.KPI.ConsumeDay(day, cells)
-		}
-		if extra != nil {
-			extra.ConsumeDay(day, traces)
-		}
-	}
 }

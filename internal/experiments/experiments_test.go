@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/mobsim"
 	"repro/internal/pandemic"
 	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
@@ -191,49 +194,62 @@ func TestNoPandemicScenarioIsFlat(t *testing.T) {
 	}
 }
 
-// TestRunStudyConsumers pins the serial study loop's contract: from any
-// start day the extra consumer sees every remaining study day once, in
-// order; the boundary hook sees every boundary from start through
-// StudyDays; and a hook error stops the loop at its boundary.
+// TestRunStudyConsumers pins the study driver's contract (runWindow):
+// from any start day, at one producer and at several, the extra
+// consumer sees every remaining study day once, in order; the boundary
+// hook sees every boundary from start through StudyDays; and a hook
+// error stops the run at its boundary, draining the source.
 func TestRunStudyConsumers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TargetUsers = 600
 	cfg.SkipKPI = true
 	d := NewDataset(cfg)
 	homes := d.World.Homes()
-	for _, start := range []int{0, 60} {
-		var bounds []int
-		c := &countingTraceConsumer{}
-		err := runStudy(d, newResults(d, homes), start, func(sd int) error {
-			bounds = append(bounds, sd)
-			return nil
-		}, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(c.days) != timegrid.StudyDays-start {
-			t.Fatalf("start %d: consumer saw %d days, want %d", start, len(c.days), timegrid.StudyDays-start)
-		}
-		for k, day := range c.days {
-			if want := timegrid.StudyDay(start + k).ToSimDay(); day != want {
-				t.Fatalf("start %d: consumer day %d is %d, want %d", start, k, day, want)
+	ctx := context.Background()
+	for _, workers := range []int{1, 3} {
+		scfg := stream.Config{Workers: workers}
+		for _, start := range []int{0, 60} {
+			var bounds []int
+			c := &countingTraceConsumer{}
+			err := runWindow(ctx, d, newResults(d, homes), start, scfg, func(sd int) error {
+				bounds = append(bounds, sd)
+				return nil
+			}, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(c.days) != timegrid.StudyDays-start {
+				t.Fatalf("workers %d start %d: consumer saw %d days, want %d", workers, start, len(c.days), timegrid.StudyDays-start)
+			}
+			for k, day := range c.days {
+				if want := timegrid.StudyDay(start + k).ToSimDay(); day != want {
+					t.Fatalf("workers %d start %d: consumer day %d is %d, want %d", workers, start, k, day, want)
+				}
+			}
+			for k, sd := range bounds {
+				if sd != start+k {
+					t.Fatalf("workers %d start %d: boundaries %v", workers, start, bounds)
+				}
+			}
+			if len(bounds) != timegrid.StudyDays-start+1 {
+				t.Fatalf("workers %d start %d: boundaries %v", workers, start, bounds)
 			}
 		}
-		if len(bounds) != timegrid.StudyDays-start+1 || bounds[0] != start || bounds[len(bounds)-1] != timegrid.StudyDays {
-			t.Fatalf("start %d: boundaries %v", start, bounds)
-		}
-	}
 
-	stop := errors.New("stop")
-	c := &countingTraceConsumer{}
-	err := runStudy(d, newResults(d, homes), 0, func(sd int) error {
-		if sd == 5 {
-			return stop
+		stop := errors.New("stop")
+		c := &countingTraceConsumer{}
+		base, dr := runtime.NumGoroutine(), stream.DoubleReleases()
+		err := runWindow(ctx, d, newResults(d, homes), 0, scfg, func(sd int) error {
+			if sd == 5 {
+				return stop
+			}
+			return nil
+		}, c)
+		if err != stop || len(c.days) != 5 {
+			t.Fatalf("workers %d: hook error at boundary 5: err %v after %d days", workers, err, len(c.days))
 		}
-		return nil
-	}, c)
-	if err != stop || len(c.days) != 5 {
-		t.Fatalf("hook error at boundary 5: err %v after %d days", err, len(c.days))
+		settleGoroutines(t, base)
+		assertNoBufferAbuse(t, dr)
 	}
 }
 

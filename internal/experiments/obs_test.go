@@ -19,10 +19,10 @@ import (
 // latency and the traffic engine's day timings.
 func TestStreamingInstrumentedBitIdentical(t *testing.T) {
 	cfg := streamingTestConfig()
-	serial := RunStandard(cfg)
+	serial := serialStandard(NewDataset(cfg))
 
 	reg := obs.New()
-	got := mustStreamingConfig(t, cfg, stream.Config{Workers: 3, Metrics: reg})
+	got := mustRunOn(t, NewDataset(cfg), stream.Config{Workers: 3, Metrics: reg})
 	assertResultsEqual(t, serial, got)
 
 	s := reg.Snapshot()
@@ -62,12 +62,19 @@ func TestStreamingInstrumentedBitIdentical(t *testing.T) {
 	}
 }
 
+// sweepMetricKeys is the size of a KPI-enabled sweep's metric catalog:
+// 6 sweep.* keys, 2 traffic.* keys and, since every run is on the
+// stream engine, 27 stream.* keys (engine, source, buffer pool and the
+// 8 default shards' trace/visit tallies).
+const sweepMetricKeys = 35
+
 // TestSweepParallelInstrumented pins the sweep-level metrics in every
 // scheduler mode: every scenario run is counted once, every scheduled
 // day loop (riders ride inside their host's) is timed and queue-stamped
 // once, the world-builds gauge records the shared-dataset guarantee
 // (builds do not scale with runs), the traffic engine's day latency is
-// reported, and every mode writes the same metric catalog.
+// reported, and every mode writes the same metric catalog of
+// sweepMetricKeys keys.
 func TestSweepParallelInstrumented(t *testing.T) {
 	cfg := streamingTestConfig()
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic, scenario.VoiceSurge)
@@ -95,6 +102,12 @@ func TestSweepParallelInstrumented(t *testing.T) {
 
 			s := reg.Snapshot()
 			catalogs[mode] = metricKeys(s)
+			if got := len(catalogs[mode]); got != sweepMetricKeys {
+				t.Errorf("sweep wrote %d metric keys, want %d: %v", got, sweepMetricKeys, catalogs[mode])
+			}
+			if s.Counters["stream.engine.days"] == 0 {
+				t.Error("stream.engine.days is zero: the sweep's runs are not on the instrumented engine")
+			}
 			if got := s.Counters["sweep.runs"]; got != int64(len(scens)) {
 				t.Errorf("sweep.runs = %d, want %d", got, len(scens))
 			}

@@ -214,12 +214,12 @@ func (p *enginePool) release(d *Dataset) {
 	d.Engine = nil
 }
 
-// runPrefixScenario is the sweep body: one sweep entry on the serial
-// study loop (runStudy, as RunStandardOn runs it —
-// bit-identical to the streaming engine at any worker and shard count),
-// optionally resuming from a forked checkpoint, capturing checkpoints
-// at the requested day boundaries for this run's non-rider children,
-// and carrying the run's riders inline.
+// runPrefixScenario is the sweep body: one sweep entry on the study
+// driver (runWindow) with one producer overlapping its folds,
+// optionally resuming from a forked checkpoint. Checkpoint capture for
+// the run's non-rider children and rider attach run in the driver's
+// boundary callback, after each day's KPI fold; the riders ride as a
+// serial merge-stage consumer.
 //
 // A rider attaches at the boundary a checkpoint child would fork at
 // (host KPI fold with days [0, forkDay) consumed is the rider's own
@@ -255,7 +255,6 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, scfg stream.Co
 	c := cfg
 	c.Scenario = sc.Scenario
 	d := w.instantiate(c, pool.get())
-	d.Engine.Instrument(scfg.Metrics)
 	startDay := 0
 	var r *Results
 	if start != nil {
@@ -276,7 +275,8 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, scfg stream.Co
 		rs[k] = riderState{riderSpec: spec, d: rd, r: &Results{Dataset: rd, Homes: homes}}
 	}
 
-	err := runStudy(d, r, startDay, func(sd int) error {
+	one := stream.Config{Workers: 1, Buffer: 1, Metrics: scfg.Metrics, Fault: scfg.Fault}
+	err := runWindow(ctx, d, r, startDay, one, func(sd int) error {
 		if snapAt[sd] {
 			if snaps == nil {
 				snaps = make(map[int]*Checkpoint, len(snapAt))
@@ -288,16 +288,13 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, scfg stream.Co
 			if rd.attached || rd.err != nil || rd.forkDay != sd {
 				continue
 			}
-			if rd.err = runGate(ctx, scfg, rd.idx); rd.err != nil {
+			if rd.err = riderGate(ctx, scfg, rd.idx); rd.err != nil {
 				continue
 			}
 			if r.KPI != nil {
 				rd.r.KPI = r.KPI.Fork()
 			}
 			rd.attached = true
-		}
-		if sd < timegrid.StudyDays {
-			return ctx.Err()
 		}
 		return nil
 	}, rs)
@@ -332,6 +329,18 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, scfg stream.Co
 	return run, riderRuns, snaps
 }
 
+// riderGate is runGate for a rider attaching inside its host's run: an
+// injected panic becomes the rider's own *stream.WorkerPanic, as in a
+// standalone run, instead of failing the host.
+func riderGate(ctx context.Context, scfg stream.Config, idx int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = stream.NewWorkerPanic("sweep", -1, -1, v)
+		}
+	}()
+	return runGate(ctx, scfg, idx)
+}
+
 // riderState is one rider's stack inside its host's day loop.
 type riderState struct {
 	riderSpec
@@ -342,9 +351,9 @@ type riderState struct {
 	attached bool
 }
 
-// riderSet is a host run's riders; as the day loop's extra consumer it
-// runs every attached rider's traffic engine and KPI fold over the
-// host's traces.
+// riderSet is a host run's riders; as the driver's extra serial
+// merge-stage consumer it runs every attached rider's traffic engine
+// and KPI fold over the host's traces.
 type riderSet []riderState
 
 func (rs riderSet) ConsumeDay(day timegrid.SimDay, traces []mobsim.DayTrace) {

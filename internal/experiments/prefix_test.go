@@ -32,7 +32,7 @@ func registrySweep(t *testing.T) []SweepScenario {
 
 // TestSharedPrefixSweepMatchesUnshared is the copy-on-divergence
 // correctness gate: the SharePrefix executor — serial and parallel —
-// must reproduce an unshared standalone RunStandardOn per scenario bit
+// must reproduce a standalone serial-oracle run per scenario bit
 // for bit over the whole registry (JSON float64 encoding is
 // shortest-round-trip, so any drift in any headline fails), while
 // actually forking: the expected fork tree and the

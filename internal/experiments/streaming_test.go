@@ -23,8 +23,8 @@ func streamingTestConfig() Config {
 	return cfg
 }
 
-// TestStreamingMatchesSerial asserts the tentpole invariant: the sharded
-// streaming pipeline is bit-identical to the serial pipeline at the same
+// TestStreamingMatchesSerial asserts the study driver's invariant: it
+// is bit-identical to the serial oracle (serialStandard) at the same
 // seed, for 1, 2 and 8 workers and a non-default shard count. Each row
 // runs a different scenario stack instantiated on one shared World, so
 // the parity also holds across scenarios (lockdown, no pandemic, a
@@ -48,11 +48,8 @@ func TestStreamingMatchesSerial(t *testing.T) {
 			t.Run(tc.scenario, func(t *testing.T) {
 				c := cfg
 				c.Scenario = loadScenario(t, tc.scenario).Scenario
-				serial := RunStandardOn(w.Instantiate(c))
-				got, err := RunStreamingOn(context.Background(), w.Instantiate(c), stream.Config{Workers: tc.workers, Shards: tc.shards})
-				if err != nil {
-					t.Fatalf("RunStreamingOn: %v", err)
-				}
+				serial := serialStandard(w.Instantiate(c))
+				got := mustRunOn(t, w.Instantiate(c), stream.Config{Workers: tc.workers, Shards: tc.shards})
 				assertResultsEqual(t, serial, got)
 			})
 		})
@@ -63,11 +60,8 @@ func TestStreamingMatchesSerial(t *testing.T) {
 func TestStreamingMatchesSerialMobilityOnly(t *testing.T) {
 	cfg := streamingTestConfig()
 	cfg.SkipKPI = true
-	serial := RunStandard(cfg)
-	got, err := RunStreaming(context.Background(), cfg, 3)
-	if err != nil {
-		t.Fatalf("RunStreaming: %v", err)
-	}
+	serial := serialStandard(NewDataset(cfg))
+	got := mustRunOn(t, NewDataset(cfg), stream.Config{Workers: 3})
 	assertResultsEqual(t, serial, got)
 }
 

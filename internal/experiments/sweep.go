@@ -65,7 +65,7 @@ type SweepOptions struct {
 	// grouped by divergence day (pandemic.Scenario.DivergenceFrom), each
 	// shared prefix is simulated once, checkpointed at the fork day and
 	// forked per scenario. Without it every scenario runs from day 0.
-	// Both plans run the same serial study loop, so results are
+	// Both plans run the same study driver, so results are
 	// bit-identical either way; forked runs gain ForkedFrom/PrefixDays
 	// provenance.
 	SharePrefix bool
@@ -110,10 +110,10 @@ func newSweepMetrics(r *obs.Registry, parallel int) *sweepMetrics {
 // draws: every agent keeps its home, anchors, device and relocation
 // candidacy across runs, and only the behavioural response differs.
 //
-// scfg contributes only its metrics registry and fault injector: every
-// run executes on the checkpointable serial study loop
-// (runPrefixScenario), so the engine sizing fields are unused and a
-// sweep's cores come from opt.Parallel.
+// scfg contributes only its metrics registry and fault injector (which
+// arm every run's stream.* stages too): each run executes on the study
+// driver with one producer (runPrefixScenario), so a sweep's cores come
+// from opt.Parallel.
 //
 // Scheduling: max(1, min(opt.Parallel, len(scens))) workers pull runs
 // from a ready queue over the sweep's fork tree. Without SharePrefix

@@ -20,15 +20,15 @@ func sweepScenarios(t *testing.T, names ...string) []SweepScenario {
 }
 
 // standaloneRuns is the sweep parity reference: every scenario run on
-// its own instantiated stack by RunStandardOn, with its own February
-// pass and no sweep machinery (no scheduler, engine pool, checkpoint or
-// rider).
+// its own instantiated stack by the serial oracle (serialStandard), with
+// its own February pass and no sweep or driver machinery (no scheduler,
+// engine pool, checkpoint, rider or stream engine).
 func standaloneRuns(w *World, cfg Config, scens []SweepScenario) []SweepRun {
 	runs := make([]SweepRun, len(scens))
 	for i, sc := range scens {
 		c := cfg
 		c.Scenario = sc.Scenario
-		r := RunStandardOn(w.Instantiate(c))
+		r := serialStandard(w.Instantiate(c))
 		runs[i] = SweepRun{Name: sc.Name, Results: r, Headlines: Headlines(r)}
 	}
 	return runs
@@ -69,7 +69,7 @@ func sweepModes(parallel ...int) []SweepOptions {
 // TestParallelSweepMatchesSerial asserts the scheduler invariant: at
 // worker counts 1, 2, 4 and 8, under both the unshared (day-0) and the
 // copy-on-divergence (shared) plan, the sweep is bit-identical to a
-// standalone RunStandardOn per scenario, re-sequenced to the input
+// standalone serial-oracle run per scenario, re-sequenced to the input
 // order, while building zero additional Worlds (counter-verified). Run
 // under -race this also exercises the cross-worker synchronization (the
 // shared immutable World, the shared homes map, the engine pool, the
@@ -97,7 +97,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 // TestParallelSweepMatchesSerialKPI covers the engine-reuse path: with
 // KPI enabled and more scenarios than workers, runs draw rebound traffic
 // engines from the sweep's pool (Engine.Rebind), and the KPI series must
-// still be bit-identical to standalone RunStandardOn runs, under both
+// still be bit-identical to standalone serial-oracle runs, under both
 // plans.
 func TestParallelSweepMatchesSerialKPI(t *testing.T) {
 	cfg := streamingTestConfig() // KPI enabled, sparser topology

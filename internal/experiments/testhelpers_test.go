@@ -7,16 +7,16 @@ import (
 	"repro/internal/stream"
 )
 
-// The streaming and sweep runners return errors only under cancellation
-// or fault injection; the functional tests run clean pipelines, so they
+// The study driver and the sweep runner return errors only under
+// cancellation or fault injection; the functional tests run clean pipelines, so they
 // funnel through these must-helpers and keep their assertions on the
 // results.
 
-func mustStreamingConfig(t testing.TB, cfg Config, scfg stream.Config) *Results {
+func mustRunOn(t testing.TB, d *Dataset, scfg stream.Config) *Results {
 	t.Helper()
-	r, err := RunStreamingConfig(context.Background(), cfg, scfg)
+	r, err := runOn(context.Background(), d, scfg)
 	if err != nil {
-		t.Fatalf("RunStreamingConfig: %v", err)
+		t.Fatalf("runOn: %v", err)
 	}
 	return r
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/pandemic"
 	"repro/internal/popsim"
 	"repro/internal/radio"
+	"repro/internal/stream"
 	"repro/internal/traffic"
 )
 
@@ -45,7 +47,11 @@ type World struct {
 // Callers must treat the returned map as read-only.
 func (w *World) Homes() homesMap {
 	w.homesOnce.Do(func() {
-		w.homes = detectHomes(mobsim.New(w.Pop, pandemic.Default(), w.Seed), w.Topology)
+		homes, err := februaryHomes(context.Background(), mobsim.New(w.Pop, pandemic.Default(), w.Seed), w.Topology, stream.Config{Buffer: 1})
+		if err != nil {
+			panic(err)
+		}
+		w.homes = homes
 	})
 	return w.homes
 }

@@ -2,7 +2,9 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -154,4 +156,55 @@ func TestKindString(t *testing.T) {
 	if Kind(9).String() != "kind(9)" {
 		t.Fatalf("unknown kind renders %q", Kind(9).String())
 	}
+}
+
+// FuzzParseSpec holds the -fault flag decoder to its contract on
+// arbitrary input: it never panics, blank input is the disabled (nil)
+// injector, and every accepted spec re-rendered from its rules as
+// site:kind:key[:delay] parses back to identical rules.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"  ",
+		"stream.produce:panic:3",
+		" feed.read:error:2 , stream.shard:delay:-1:20ms ",
+		"sweep.run:error:+7",
+		"stream.merge:delay:0:0s",
+		"stream.shard:delay:5:-3ms",
+		"stream.shard:error:0:5ms",
+		"nosuch.site:error:0",
+		",",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		inj, err := ParseSpec(spec)
+		if strings.TrimSpace(spec) == "" {
+			if inj != nil || err != nil {
+				t.Fatalf("blank spec %q: injector=%v err=%v, want nil/nil", spec, inj, err)
+			}
+			return
+		}
+		if err != nil {
+			if inj != nil {
+				t.Fatalf("spec %q: error %v with a non-nil injector", spec, err)
+			}
+			return
+		}
+		rules := inj.Rules()
+		parts := make([]string, len(rules))
+		for i, r := range rules {
+			parts[i] = fmt.Sprintf("%s:%s:%d", r.Site, r.Kind, r.Key)
+			if r.Delay != 0 {
+				parts[i] += ":" + r.Delay.String()
+			}
+		}
+		again, err := ParseSpec(strings.Join(parts, ","))
+		if err != nil {
+			t.Fatalf("spec %q re-rendered as %q: %v", spec, strings.Join(parts, ","), err)
+		}
+		if !reflect.DeepEqual(again.Rules(), rules) {
+			t.Fatalf("spec %q: rules %+v re-parse as %+v", spec, rules, again.Rules())
+		}
+	})
 }

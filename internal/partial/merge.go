@@ -79,6 +79,9 @@ func Merge(parts []*Partial) (*Result, error) {
 			return nil, fmt.Errorf("partial: part %d replayed %d days, part %d replayed %d", ref.Part, days, p.Part, len(p.Days))
 		}
 		for j := range p.Days {
+			if day := p.Days[j].Day; day < 0 || day >= timegrid.SimDays {
+				return nil, fmt.Errorf("partial: part %d day index %d: day %d outside the simulated window [0, %d)", p.Part, j, day, timegrid.SimDays)
+			}
 			if p.Days[j].Day != ref.Days[j].Day {
 				return nil, fmt.Errorf("partial: day sequences diverge at index %d: %d vs %d", j, ref.Days[j].Day, p.Days[j].Day)
 			}

@@ -266,14 +266,38 @@ func TestMergeValidation(t *testing.T) {
 			b.Seed = 2
 			return []*Partial{a, b}
 		}()},
+		{"day past the window", []*Partial{mk(0, 0, 0, 0, timegrid.SimDays)}},
+		{"day far past the window", []*Partial{mk(0, 0, 0, 0, 99_999_999)}},
+		{"negative day", []*Partial{mk(0, 0, 0, 0, -1)}},
+		{"negative sketch bin", []*Partial{sketchPartial(func(st *stream.QSketchState) { st.Bins[0] = -1; st.Count-- })}},
+		{"sketch count off", []*Partial{sketchPartial(func(st *stream.QSketchState) { st.Count += 5 })}},
 	}
 	for _, tc := range cases {
 		if _, err := Merge(tc.parts); err == nil {
 			t.Errorf("%s: merge accepted", tc.name)
 		}
 	}
-	// The valid counterpart merges cleanly.
+	// The valid counterparts merge cleanly.
 	if _, err := Merge([]*Partial{mk(0, 2, 0, 4, 0), mk(1, 2, 5, 9, 0)}); err != nil {
 		t.Errorf("valid shard set rejected: %v", err)
 	}
+	if _, err := Merge([]*Partial{sketchPartial(func(*stream.QSketchState) {})}); err != nil {
+		t.Errorf("valid sketch partial rejected: %v", err)
+	}
+}
+
+// sketchPartial is a one-day unpartitioned partial whose every KPI
+// sketch holds three observations, after edit was applied to the first
+// metric's sketch.
+func sketchPartial(edit func(st *stream.QSketchState)) *Partial {
+	q := stream.NewQSketch()
+	for _, x := range []float64{1, 2, 3} {
+		q.Add(x)
+	}
+	d := Day{Day: 40, Cells: 3}
+	for m := 0; m < traffic.NumMetrics; m++ {
+		d.Sketches = append(d.Sketches, q.State())
+	}
+	edit(&d.Sketches[0])
+	return &Partial{Version: Version, Users: 10, Seed: 1, Days: []Day{d}}
 }

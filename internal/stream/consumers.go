@@ -194,8 +194,9 @@ func (h *Homes) Detect() map[popsim.UserID]core.Home {
 // Signaling shards §2.2 control-plane analytics: each shard generates
 // the events of its users straight from their traces (the generator is
 // per-user deterministic) and folds them into a shard-local
-// signaling.Aggregator; Merged combines the aggregators, which is exact
-// because every aggregate is an integer count or a user set. It also
+// signaling.Aggregator; the shard aggregators combine exactly
+// (Totals, signaling.Aggregator.Merge) because every aggregate is an
+// integer count or a user set. It also
 // implements EventSharder, so a persisted event feed can be dispatched
 // to the same shard-local aggregators instead.
 type Signaling struct {
@@ -282,21 +283,11 @@ func (e signalingEvents) EndDay(timegrid.SimDay) {}
 
 // Totals returns the cumulative event and failure counts across all
 // shards — O(shards), allocation-free, for rolling monitors that only
-// need the headline numbers (full district/type breakdowns: Merged).
+// need the headline numbers.
 func (s *Signaling) Totals() (events, failures int64) {
 	for _, a := range s.aggs {
 		events += a.Total
 		failures += a.Failures
 	}
 	return events, failures
-}
-
-// Merged returns one aggregator combining every shard, merged in shard
-// order.
-func (s *Signaling) Merged(topo *radio.Topology) *signaling.Aggregator {
-	out := signaling.NewAggregator(topo, len(s.gen.Population().Users))
-	for _, a := range s.aggs {
-		out.Merge(a)
-	}
-	return out
 }

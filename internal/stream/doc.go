@@ -24,17 +24,18 @@
 //     shard order, so outputs do not depend on Config.Workers.
 //   - Serial equivalence: the merge paths perform the same floating
 //     point operations in the same order as the serial analyzers in
-//     internal/core, so experiments.RunStreaming is bit-identical to
-//     experiments.RunStandard at the same seed.
+//     internal/core, so experiments.RunStandard on this engine is
+//     bit-identical to a plain serial day loop at the same seed.
 //
 // Backpressure is bounded channels end to end: a SimSource keeps at most
-// Workers+Buffer days in flight, and the engine finishes every shard of
-// day d before merging it and pulling day d+1.
+// Workers+Buffer days live, the day the consumer holds included, and the
+// engine finishes every shard of day d before merging it, running its
+// AfterDay callback and pulling day d+1.
 //
 // Engines and sources are one-run objects, but cheap ones: everything
 // expensive (the census, topology and population behind a SimSource's
 // simulator) lives in the scenario-independent experiments.World, so
-// experiments.RunStreamingOn runs one engine + source pair per scenario
-// stack instantiated on a shared world, each run recycling its own day
-// buffers through DayBatch.Release.
+// the experiments study driver runs one engine + source pair per pass
+// of every scenario stack instantiated on a shared world, each run
+// recycling its own day buffers through DayBatch.Release.
 package stream

@@ -32,8 +32,10 @@ type Config struct {
 	// Shards is the number of logical partitions. <= 0 means
 	// DefaultShards.
 	Shards int
-	// Buffer is the number of extra day batches a source may compute
-	// ahead of consumption (backpressure window). <= 0 means 2.
+	// Buffer sizes a source's backpressure window: at most
+	// Workers+Buffer day batches are live, the one the consumer holds
+	// included (Workers=2, Buffer=1: one folding, two producing). <= 0
+	// means 2.
 	Buffer int
 	// Metrics, when non-nil, instruments everything built from this
 	// config — the engine's stage timings and per-shard record counts,
@@ -95,14 +97,14 @@ type EventSharder interface {
 	EndDay(day timegrid.SimDay)
 }
 
-// TraceConsumer is a serial per-day trace consumer (the shape of
-// experiments.DayConsumer); it runs in the merge stage, in day order.
+// TraceConsumer is a serial per-day trace consumer (experiments aliases
+// it as DayConsumer); it runs in the merge stage, in day order.
 type TraceConsumer interface {
 	ConsumeDay(day timegrid.SimDay, traces []mobsim.DayTrace)
 }
 
-// KPIConsumer is a serial per-day KPI consumer (the shape of
-// experiments.KPIConsumer); it runs in the merge stage, in day order.
+// KPIConsumer is a serial per-day KPI consumer (experiments.KPIConsumer
+// aliases it); it runs in the merge stage, in day order.
 type KPIConsumer interface {
 	ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay)
 }
@@ -123,6 +125,9 @@ type Engine struct {
 	eventIdx [][]int
 
 	sem chan struct{}
+
+	// after is the day-boundary callback (AfterDay); nil when unset.
+	after func(day timegrid.SimDay) error
 
 	// m holds the engine's metric handles; nil when cfg.Metrics is unset
 	// (the default), in which case runDay takes no timestamps at all.
@@ -195,9 +200,6 @@ func makeParts(n int) [][]int {
 	return p
 }
 
-// Config returns the engine's resolved configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // AddTraceSharder attaches a sharded trace consumer.
 func (e *Engine) AddTraceSharder(s TraceSharder) { e.traceSharders = append(e.traceSharders, s) }
 
@@ -212,6 +214,13 @@ func (e *Engine) AddTraceConsumer(c TraceConsumer) { e.traceSerial = append(e.tr
 
 // AddKPIConsumer attaches a serial merge-stage KPI consumer.
 func (e *Engine) AddKPIConsumer(c KPIConsumer) { e.kpiSerial = append(e.kpiSerial, c) }
+
+// AfterDay sets the day-boundary callback: f runs once per day after
+// that day's whole merge stage (sharder EndDay, serial trace and KPI
+// consumers; days without cells too) and the batch's release. An error
+// from f ends Run with it, stopping the source as any early exit does;
+// a panic in f becomes a *WorkerPanic of stage "boundary".
+func (e *Engine) AfterDay(f func(day timegrid.SimDay) error) { e.after = f }
 
 // ShardOfUser returns the shard a user's records land on under s shards.
 // The hash is a stable bit mixer, so the partition depends only on the
@@ -228,9 +237,9 @@ func ShardOfCell(c uint64, s int) int { return int(rng.Hash64(c^0xCE11CE11) % ui
 // the buffer-ownership rules in README.md.
 //
 // Failure semantics (see RELIABILITY.md): ctx cancellation surfaces as
-// ctx.Err() within at most one day of work; a panic in any shard task
-// or the merge stage is recovered into a *WorkerPanic and returned as
-// a joined error. On any early exit — cancellation, source error, or a
+// ctx.Err() within at most one day of work; a panic in any shard task,
+// the merge stage or the AfterDay callback is recovered into a
+// *WorkerPanic and returned as a joined error. On any early exit — cancellation, source error, or a
 // failed day — the source is stopped (Stopper) so its producers exit
 // and in-flight pooled buffers return to their free lists; the day's
 // batch is always released exactly once.
@@ -250,11 +259,20 @@ func (e *Engine) Run(ctx context.Context, src Source) error {
 		}
 		dayErr := e.runDay(&b)
 		b.Release()
+		if dayErr == nil && e.after != nil {
+			dayErr = e.afterDay(b.Day)
+		}
 		if dayErr != nil {
 			stopSource(src)
 			return dayErr
 		}
 	}
+}
+
+// afterDay runs the day-boundary callback under the stages' recover.
+func (e *Engine) afterDay(day timegrid.SimDay) (err error) {
+	defer capturePanic(&err, "boundary", -1, day)
+	return e.after(day)
 }
 
 // runDay processes one day batch: partition, parallel shard stage,

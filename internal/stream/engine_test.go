@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"io"
 	"math"
 	"sort"
 	"sync"
@@ -203,6 +204,55 @@ func TestQSketchEdgeValues(t *testing.T) {
 	}
 }
 
+// TestQSketchFromStateValidates pins the restore check: a snapshot a
+// sketch could have produced round-trips, and one no sketch could have
+// produced — wrong bin count, a negative bin or underflow, a count that
+// disagrees with the bins — is rejected instead of answering with
+// meaningless quantiles.
+func TestQSketchFromStateValidates(t *testing.T) {
+	q := NewQSketch()
+	for _, x := range []float64{0, 0.5, 3, 3, 40, 1e6} {
+		q.Add(x)
+	}
+	good := q.State()
+	back, err := QSketchFromState(good)
+	if err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	if back.Median() != q.Median() || back.N() != q.N() {
+		t.Fatalf("round trip: median %g n %d, want %g n %d", back.Median(), back.N(), q.Median(), q.N())
+	}
+
+	mutate := func(f func(st *QSketchState)) QSketchState {
+		st := q.State()
+		f(&st)
+		return st
+	}
+	hot := 0
+	for i, c := range good.Bins {
+		if c > 0 {
+			hot = i
+			break
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		st   QSketchState
+	}{
+		{"short bins", mutate(func(st *QSketchState) { st.Bins = st.Bins[:10] })},
+		{"negative bin", mutate(func(st *QSketchState) { st.Bins[hot+1] = -1; st.Count-- })},
+		{"negative under", mutate(func(st *QSketchState) { st.Under = -1; st.Count -= 2 })},
+		{"negative count", mutate(func(st *QSketchState) { st.Count = -1 })},
+		{"count too small", mutate(func(st *QSketchState) { st.Count-- })},
+		{"count too large", mutate(func(st *QSketchState) { st.Count += 1_000_000 })},
+		{"bins overflow count", mutate(func(st *QSketchState) { st.Bins[hot] = math.MaxInt64 })},
+	} {
+		if _, err := QSketchFromState(tc.st); err == nil {
+			t.Errorf("%s: snapshot accepted", tc.name)
+		}
+	}
+}
+
 // TestKPIMediansMatchesExact compares the sketch stage's daily medians
 // to exact medians within the sketch error.
 func TestKPIMediansMatchesExact(t *testing.T) {
@@ -256,4 +306,22 @@ func TestPrefetchDeliversInOrder(t *testing.T) {
 	if _, err := src.Next(); err == nil {
 		t.Fatal("want EOF")
 	}
+}
+
+// sliceSource replays pre-built batches, in the order given.
+type sliceSource struct {
+	batches []DayBatch
+	i       int
+}
+
+// NewSliceSource returns a Source over in-memory batches.
+func NewSliceSource(batches []DayBatch) Source { return &sliceSource{batches: batches} }
+
+func (s *sliceSource) Next() (DayBatch, error) {
+	if s.i >= len(s.batches) {
+		return DayBatch{}, io.EOF
+	}
+	b := s.batches[s.i]
+	s.i++
+	return b, nil
 }

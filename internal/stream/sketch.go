@@ -129,10 +129,21 @@ func (q *QSketch) State() QSketchState {
 }
 
 // QSketchFromState reconstructs a sketch from a snapshot; future Adds
-// and Quantiles behave exactly as on the original.
+// and Quantiles behave exactly as on the original. A snapshot no sketch
+// could produce — a negative count, or a Count other than the bins plus
+// Under — is rejected: its quantiles would be meaningless.
 func QSketchFromState(st QSketchState) (*QSketch, error) {
 	if len(st.Bins) != sketchBins {
 		return nil, fmt.Errorf("stream: sketch snapshot has %d bins, this build uses %d", len(st.Bins), sketchBins)
+	}
+	ok, sum := st.Under >= 0 && st.Count >= st.Under, st.Under
+	for i := 0; ok && i < len(st.Bins); i++ {
+		c := st.Bins[i]
+		ok = c >= 0 && c <= st.Count-sum // 0 <= sum <= Count: cannot overflow
+		sum += c
+	}
+	if !ok || sum != st.Count {
+		return nil, fmt.Errorf("stream: inconsistent sketch snapshot: count %d is not underflow %d plus non-negative bins", st.Count, st.Under)
 	}
 	return &QSketch{bins: append([]int64(nil), st.Bins...), under: st.Under, count: st.Count}, nil
 }

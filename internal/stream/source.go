@@ -98,9 +98,9 @@ var errStopped = errors.New("stream: source stopped")
 // so the source computes days ahead on a worker pool and re-sequences
 // them: Next always returns days in order.
 //
-// Backpressure: at most workers+buffer days are claimed but not yet
-// returned by Next, so memory stays bounded no matter how far the
-// consumer falls behind.
+// Backpressure: at most workers+buffer days are live, the one the
+// consumer holds until its next Next included, so memory stays bounded
+// no matter how far the consumer falls behind.
 //
 // Buffer recycling: each batch is produced into a pooled backing store
 // (a mobsim.DayBuffer plus a CellDay slice) drawn from a bounded free
@@ -117,6 +117,11 @@ var errStopped = errors.New("stream: source stopped")
 type SimSource struct {
 	out  chan DayBatch
 	done chan struct{}
+	// sem holds a token per live day: taken before a producer claims a
+	// day, given back by the Next after the one that returned it (held:
+	// one is out; consumer-only).
+	sem  chan struct{}
+	held bool
 	stop sync.Once
 	pool *BufferPool
 	fi   *fault.Injector
@@ -160,6 +165,7 @@ func NewSimSource(ctx context.Context, sim *mobsim.Simulator, eng *traffic.Engin
 	s := &SimSource{
 		out:  make(chan DayBatch),
 		done: make(chan struct{}),
+		sem:  make(chan struct{}, cfg.Workers+cfg.Buffer),
 		pool: NewBufferPool(cfg.Workers + cfg.Buffer).Instrument(cfg.Metrics),
 		fi:   cfg.Fault,
 		m:    newSourceMetrics(cfg.Metrics, cfg.Workers),
@@ -168,10 +174,15 @@ func NewSimSource(ctx context.Context, sim *mobsim.Simulator, eng *traffic.Engin
 	return s
 }
 
-// Next returns the next day batch, in day order. After the stream ends
-// it returns io.EOF; after a failure (producer panic, injected fault,
+// Next returns the next day batch, in day order; the previously
+// returned day must be released by now. After the stream ends it
+// returns io.EOF; after a failure (producer panic, injected fault,
 // cancellation) it returns that failure.
 func (s *SimSource) Next() (DayBatch, error) {
+	if s.held {
+		s.held = false
+		<-s.sem
+	}
 	b, ok := <-s.out
 	if !ok {
 		if err := s.failure(); err != nil {
@@ -184,6 +195,7 @@ func (s *SimSource) Next() (DayBatch, error) {
 		}
 		return DayBatch{}, io.EOF
 	}
+	s.held = true
 	return b, nil
 }
 
@@ -241,11 +253,9 @@ func (s *SimSource) run(ctx context.Context, sim *mobsim.Simulator, eng *traffic
 	total := int(limit - first)
 	window := cfg.Workers + cfg.Buffer
 
-	// sem bounds the days in flight; a token is taken before a day is
-	// claimed and released when the sequencer hands the day out. Days
-	// are claimed in ascending order, so the lowest unemitted day is
-	// always already being computed — the window cannot deadlock.
-	sem := make(chan struct{}, window)
+	// Days are claimed in ascending order, so the lowest unemitted day
+	// is always already being computed — the window cannot deadlock.
+	sem := s.sem
 	results := make(chan DayBatch)
 	var next int64 = int64(first)
 
@@ -387,7 +397,6 @@ func (s *SimSource) run(ctx context.Context, sim *mobsim.Simulator, eng *traffic
 				releasePending()
 				return
 			}
-			<-sem
 			emit++
 		}
 	}
@@ -465,24 +474,4 @@ func (p *prefetchSource) Stop() {
 			b.Release()
 		}
 	})
-}
-
-// sliceSource replays pre-built batches; used by tests and by feed
-// adapters that already hold a window in memory.
-type sliceSource struct {
-	batches []DayBatch
-	i       int
-}
-
-// NewSliceSource returns a Source over in-memory batches, in the order
-// given.
-func NewSliceSource(batches []DayBatch) Source { return &sliceSource{batches: batches} }
-
-func (s *sliceSource) Next() (DayBatch, error) {
-	if s.i >= len(s.batches) {
-		return DayBatch{}, io.EOF
-	}
-	b := s.batches[s.i]
-	s.i++
-	return b, nil
 }

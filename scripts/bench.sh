@@ -45,7 +45,7 @@ if [ "$sha" != nogit ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
   sha="${sha}-dirty"
 fi
 benchtime="${BENCHTIME:-1x}"
-pattern="${BENCH:-SimDayInto|SimulateDay|EngineDay|KPIConsumeDay|DayMetrics|MergeVisits|SignalingShardDay|RunStandardSerial|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay}"
+pattern="${BENCH:-SimDayInto|SimulateDay|EngineDay|KPIConsumeDay|DayMetrics|MergeVisits|SignalingShardDay|RunStandard\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay}"
 
 # Runner metadata: numbers are only comparable between snapshots taken on
 # similar hardware, so record what ran them. benchdiff warns when the two
